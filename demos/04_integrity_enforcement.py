@@ -4,8 +4,8 @@ the borderline.
 Documents with severe labels (misinformation, offensive content) are
 physically deleted from the vector index so they cannot be retrieved at
 all; untrustworthy-but-borderline documents stay retrievable yet sink below
-every clean result. Both operations are idempotent, and the removal is
-audited through tombstones.
+every clean result. Both operations are idempotent, and the label store
+keeps an audit trail of every label written.
 """
 
 from ebrguard import (
@@ -45,8 +45,7 @@ def run(idx, labels):
 before = run(index, LabelStore())
 
 cleaned, removed = apply_index_removal(index, store)
-print(f"apply_index_removal: {removed} embeddings deleted, "
-      f"{len(cleaned.removed_ids)} tombstones")
+print(f"apply_index_removal: {removed} embeddings deleted")
 cleaned, removed_again = apply_index_removal(cleaned, store)
 print(f"second application: {removed_again} removed (idempotent)\n")
 

@@ -4,18 +4,15 @@ Post-training failure handling for a two-tower retrieval stack: sigmoid
 score calibration, per-segment discard thresholds fit from engagement logs,
 intent-based trigger control with a text-retrieval fallback, integrity index
 removal and rank demotion, and session-level NDCG / NONREC evaluation.
+
+The package root exports the quickstart's working set, the file loaders and
+savers, and GuardrailError; everything else is imported from its module.
 """
 
 from .corpus import (
-    INTEGRITY_CATEGORIES,
-    JUNKINESS_CATEGORIES,
-    Document,
     EngagementAction,
     EngagementRecord,
-    FailureCategory,
     Intent,
-    Query,
-    RelevanceJudgment,
     SegmentKey,
     SourceType,
     load_corpus,
@@ -27,106 +24,35 @@ from .corpus import (
     save_judgments,
     save_queries,
 )
-from .embedder import (
-    DEFAULT_DIM,
-    Side,
-    embed_corpus,
-    embed_document,
-    embed_text,
-    load_embeddings,
-    save_embeddings,
-)
-from .errors import (
-    DegenerateDesign,
-    DimensionMismatch,
-    DuplicateId,
-    DuplicateRule,
-    EmptyLog,
-    EmptySessions,
-    GuardrailError,
-    InvalidP,
-    InvalidSpec,
-    MalformedLine,
-    MalformedRecord,
-    MissingEmbedding,
-)
+from .embedder import embed_corpus, load_embeddings, save_embeddings
+from .errors import GuardrailError
 from .evaluation import (
-    BootstrapResult,
-    DeltaReport,
-    EvalReport,
-    EvalSession,
     compare_runs,
     evaluate_run,
     ndcg_at_k,
-    nonrec_at_10,
     paired_bootstrap,
     sessions_from_result_pages,
 )
 from .integrity import (
-    DEFAULT_SEVERITY_FOR_REASON,
-    IntegrityLabel,
-    LabelReason,
     LabelStore,
-    Severity,
-    append_label,
-    apply_demotion,
     apply_index_removal,
-    label,
     labels_from_judgments,
     load_labels,
     save_labels,
 )
-from .pipeline import (
-    ResultPage,
-    RetrievalConfig,
-    SearchResult,
-    SigmoidParams,
-    apply_threshold,
-    merge_candidates,
-    retrieve,
-    sigmoid_transform,
-)
-from .synth import (
-    DEFAULT_FAILURE_MIX,
-    DEFAULT_SEGMENT_MIX,
-    SyntheticData,
-    SyntheticSpec,
-    generate_synthetic,
-)
-from .text_retrieval import InvertedIndex, build_text_index, search_text, tokenize
-from .thresholds import (
-    DEFAULT_MIN_SUPPORT,
-    DEFAULT_P,
-    FeatureEncoding,
-    FitReport,
-    ThresholdModel,
-    encode,
-    fit,
-    load_model,
-    percentile_threshold,
-    predict_threshold,
-    save_model,
-    segment_targets,
-)
+from .pipeline import RetrievalConfig, SigmoidParams, retrieve, sigmoid_transform
+from .synth import SyntheticSpec, generate_synthetic
+from .text_retrieval import build_text_index
+from .thresholds import fit, load_model, predict_threshold, save_model, segment_targets
 from .triggers import (
     DEFAULT_RULES,
-    DiagnosticReport,
     RuleSet,
     TriggerAction,
     TriggerRule,
     diagnose_segment,
-    evaluate_rules,
     load_rules,
     save_rules,
 )
-from .vector_index import (
-    Candidate,
-    CandidateSource,
-    Index,
-    build_index,
-    cosine,
-    remove,
-    topk,
-)
+from .vector_index import CandidateSource, build_index
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .integrity import (
     apply_index_removal,
     load_labels,
 )
+from .jsonl import read_jsonl, write_jsonl
 from .pipeline import RetrievalConfig, ResultPage, SigmoidParams, retrieve, sigmoid_transform
 from .text_retrieval import build_text_index
 from .thresholds import (
@@ -84,9 +85,6 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     index = build_index(docs, embeddings)
     save_embeddings(embeddings, out / "embeddings.tsv")
-    with (out / "removed.jsonl").open("w", encoding="utf-8") as fh:
-        for doc_id in sorted(index.removed_ids):
-            fh.write(json.dumps({"doc_id": doc_id}) + "\n")
     print(f"indexed {len(index)} docs (dim {index.dim}) into {out}")
     return 0
 
@@ -94,8 +92,8 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
 def _cmd_fit_thresholds(args: argparse.Namespace) -> int:
     if not 0.0 < args.p <= 1.0:
         raise InvalidP(f"p must be in (0, 1], got {args.p}")
-    log = load_engagement_log(args.log)
     params = SigmoidParams(a=args.sigmoid_a, b=args.sigmoid_b)
+    log = load_engagement_log(args.log)
     targets = segment_targets(
         log,
         args.p,
@@ -113,6 +111,9 @@ def _cmd_fit_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    config = RetrievalConfig(
+        k=args.k, sigmoid=SigmoidParams(a=args.sigmoid_a, b=args.sigmoid_b)
+    )
     docs = load_corpus(args.corpus)
     queries = load_queries(args.queries)
     if args.embeddings:
@@ -125,13 +126,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
     model = load_model(args.model) if args.model else None
     text_index = build_text_index(docs)
-    config = RetrievalConfig(
-        k=args.k, sigmoid=SigmoidParams(a=args.sigmoid_a, b=args.sigmoid_b)
+    write_jsonl(
+        args.out,
+        (
+            retrieve(query, index, text_index, model, rules, store, config).to_dict()
+            for query in queries
+        ),
     )
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        for query in queries:
-            page = retrieve(query, index, text_index, model, rules, store, config)
-            fh.write(json.dumps(page.to_dict(), ensure_ascii=False) + "\n")
     print(
         f"searched {len(queries)} queries (k={args.k}, {removed} docs removed "
         f"for integrity) -> {args.out}"
@@ -152,18 +153,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_result_pages(path: str) -> list[ResultPage]:
-    pages = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                pages.append(ResultPage.from_dict(json.loads(line)))
-    return pages
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    pages = _load_result_pages(args.results)
+    pages = read_jsonl(args.results, ResultPage.from_dict)
     judgments = load_judgments(args.judgments)
     sessions = evaluation.sessions_from_result_pages(pages, judgments)
     report = evaluation.evaluate_run(sessions)

@@ -7,14 +7,14 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DuplicateId, MalformedRecord
+from .errors import DuplicateId
 from .integrity import IntegrityLabel, LabelReason, Severity
+from .jsonl import read_jsonl, write_jsonl
 
 
 class SourceType(str, Enum):
@@ -278,89 +278,46 @@ class RelevanceJudgment:
 # JSONL I/O
 
 
-def _iter_jsonl(path: str | Path):
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
-
-
-def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+def _unique(records: list, ids: Iterable[str]) -> list:
+    """records unchanged, or DuplicateId for the first id seen twice."""
+    seen: set[str] = set()
+    for record_id in ids:
+        if record_id in seen:
+            raise DuplicateId(record_id)
+        seen.add(record_id)
+    return records
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read corpus.jsonl in file order; duplicate doc_id is an error."""
-    docs: list[Document] = []
-    seen: set[str] = set()
-    for line_no, raw in _iter_jsonl(path):
-        try:
-            doc = Document.from_dict(raw)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(str(path), line_no, str(exc)) from exc
-        if doc.doc_id in seen:
-            raise DuplicateId(doc.doc_id)
-        seen.add(doc.doc_id)
-        docs.append(doc)
-    return docs
+    docs = read_jsonl(path, Document.from_dict)
+    return _unique(docs, (d.doc_id for d in docs))
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    _write_jsonl(path, (d.to_dict() for d in docs))
+    write_jsonl(path, (d.to_dict() for d in docs))
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    queries: list[Query] = []
-    seen: set[str] = set()
-    for line_no, raw in _iter_jsonl(path):
-        try:
-            q = Query.from_dict(raw)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(str(path), line_no, str(exc)) from exc
-        if q.query_id in seen:
-            raise DuplicateId(q.query_id)
-        seen.add(q.query_id)
-        queries.append(q)
-    return queries
+    queries = read_jsonl(path, Query.from_dict)
+    return _unique(queries, (q.query_id for q in queries))
 
 
 def save_queries(queries: Iterable[Query], path: str | Path) -> None:
-    _write_jsonl(path, (q.to_dict() for q in queries))
+    write_jsonl(path, (q.to_dict() for q in queries))
 
 
 def load_judgments(path: str | Path) -> list[RelevanceJudgment]:
-    out = []
-    for line_no, raw in _iter_jsonl(path):
-        try:
-            out.append(RelevanceJudgment.from_dict(raw))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(str(path), line_no, str(exc)) from exc
-    return out
+    return read_jsonl(path, RelevanceJudgment.from_dict)
 
 
 def save_judgments(judgments: Iterable[RelevanceJudgment], path: str | Path) -> None:
-    _write_jsonl(path, (j.to_dict() for j in judgments))
+    write_jsonl(path, (j.to_dict() for j in judgments))
 
 
 def load_engagement_log(path: str | Path) -> list[EngagementRecord]:
-    out = []
-    for line_no, raw in _iter_jsonl(path):
-        try:
-            out.append(EngagementRecord.from_dict(raw))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(str(path), line_no, str(exc)) from exc
-    return out
+    return read_jsonl(path, EngagementRecord.from_dict)
 
 
 def save_engagement_log(records: Iterable[EngagementRecord], path: str | Path) -> None:
-    _write_jsonl(path, (r.to_dict() for r in records))
+    write_jsonl(path, (r.to_dict() for r in records))

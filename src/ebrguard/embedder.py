@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document
-from .errors import DimensionMismatch, MalformedLine
+from .errors import DimensionMismatch, InvalidParameter, MalformedLine
 
 DEFAULT_DIM = 64
 
@@ -60,7 +60,7 @@ def embed_text(text: str, side: Side = Side.QUERY, d: int = DEFAULT_DIM) -> np.n
     salt constants, no randomness.
     """
     if d < 8:
-        raise ValueError(f"dimension {d} too small, need d >= 8")
+        raise InvalidParameter(f"dimension {d} too small, need d >= 8")
     side = Side(side)
     lowered = text.lower()
     if not lowered.strip():

@@ -12,13 +12,22 @@ class GuardrailError(Exception):
 
 
 class MalformedRecord(GuardrailError):
-    """A JSONL record failed to parse or violates its schema."""
+    """A JSON record failed to parse or violates its schema.
 
-    def __init__(self, path: str, line_no: int, detail: str) -> None:
+    line_no is the 1-based line in the file, or None when the error belongs
+    to a whole-file JSON document rather than to one line of it.
+    """
+
+    def __init__(self, path: str, line_no: int | None, detail: str) -> None:
         self.path = str(path)
         self.line_no = line_no
         self.detail = detail
-        super().__init__(f"{path}:{line_no}: {detail}")
+        where = self.path if line_no is None else f"{self.path}:{line_no}"
+        super().__init__(f"{where}: {detail}")
+
+
+class InvalidParameter(GuardrailError, ValueError):
+    """A numeric setting (k, embedding dimension, sigmoid scale) is out of range."""
 
 
 class DuplicateId(GuardrailError):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import INTEGRITY_CATEGORIES, FailureCategory, RelevanceJudgment
 from .errors import EmptySessions
+from .jsonl import malformed
 from .pipeline import ResultPage
 
 NDCG_KS = (1, 3, 5)
@@ -238,7 +239,12 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read report.json; broken JSON or a missing field is a MalformedRecord."""
+    try:
+        return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    # json.JSONDecodeError is a ValueError.
+    except (KeyError, ValueError, TypeError) as exc:
+        raise malformed(path, exc) from exc
 
 
 def render_report(report: EvalReport) -> str:

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
-from .errors import MalformedRecord
+from .jsonl import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     from .vector_index import Index
@@ -107,18 +107,6 @@ class LabelStore:
         return doc_id in self._current
 
 
-def label(
-    store: LabelStore,
-    doc_id: str,
-    severity: Severity,
-    reason: LabelReason,
-    ts: str | None = None,
-) -> LabelStore:
-    """Record a label in the store (latest write wins) and return the store."""
-    store.add(IntegrityLabel(doc_id=doc_id, severity=severity, reason=reason, ts=ts))
-    return store
-
-
 def apply_index_removal(index: "Index", store: LabelStore) -> tuple["Index", int]:
     """Delete every Removable-labeled entry from the index.
 
@@ -173,25 +161,11 @@ def labels_from_judgments(judgments, severity_for_reason=None) -> LabelStore:
 
 
 def load_labels(path: str | Path) -> LabelStore:
-    store = LabelStore()
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                store.add(IntegrityLabel.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise MalformedRecord(str(path), line_no, str(exc)) from exc
-    return store
+    return LabelStore(read_jsonl(path, IntegrityLabel.from_dict))
 
 
 def save_labels(store: LabelStore, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for lab in store.audit:
-            fh.write(json.dumps(lab.to_dict(), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (lab.to_dict() for lab in store.audit))
 
 
 def append_label(path: str | Path, lab: IntegrityLabel) -> None:

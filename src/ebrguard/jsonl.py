@@ -1,0 +1,60 @@
+"""The one JSON-lines reader and writer behind every record file.
+
+One JSON object per line, UTF-8, blank lines ignored. Bad input never
+escapes as a raw JSON, key or type error: it becomes a MalformedRecord that
+names the file and the 1-based line.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+from .errors import MalformedRecord
+
+_T = TypeVar("_T")
+
+
+def malformed(path: str | Path, exc: Exception, line_no: int | None = None) -> MalformedRecord:
+    """The MalformedRecord for a parse error or a rejected record at path:line_no.
+
+    With no line_no (a whole-file JSON document), a parse error reports the
+    line the decoder stopped at.
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        return MalformedRecord(str(path), line_no or exc.lineno, f"invalid JSON: {exc.msg}")
+    if isinstance(exc, KeyError):
+        return MalformedRecord(str(path), line_no, f"missing field {exc}")
+    return MalformedRecord(str(path), line_no, str(exc))
+
+
+def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
+    """Every nonblank line of path, parsed as a JSON object and passed to from_dict.
+
+    from_dict signals a schema violation with KeyError, ValueError or
+    TypeError; each of those, a line that is not valid JSON, and a line whose
+    JSON is not an object raise MalformedRecord for that line.
+    """
+    records: list[_T] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+                records.append(from_dict(raw))
+            # json.JSONDecodeError is a ValueError.
+            except (KeyError, ValueError, TypeError) as exc:
+                raise malformed(path, exc, line_no) from exc
+    return records
+
+
+def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
+    """Write one compact JSON object per line, non-ASCII kept as UTF-8."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for d in dicts:
+            fh.write(json.dumps(d, ensure_ascii=False) + "\n")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import Query, SegmentKey
 from .embedder import Side, embed_text
+from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
 from .text_retrieval import InvertedIndex, search_text
 from .thresholds import ThresholdModel, predict_threshold
@@ -39,7 +40,7 @@ class SigmoidParams:
 
     def __post_init__(self) -> None:
         if not self.a > 0:
-            raise ValueError(f"sigmoid scale a must be > 0 to preserve order, got {self.a}")
+            raise InvalidParameter(f"sigmoid scale a must be > 0 to preserve order, got {self.a}")
 
 
 DEFAULT_SIGMOID = SigmoidParams()
@@ -111,7 +112,7 @@ class RetrievalConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InvalidParameter(f"k must be >= 1, got {self.k}")
 
 
 def apply_threshold(results: list[SearchResult], threshold: float) -> list[SearchResult]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Document, Query
+from .errors import InvalidParameter
 from .vector_index import Candidate, CandidateSource
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -45,7 +46,7 @@ def build_text_index(docs: Sequence[Document]) -> InvertedIndex:
 def search_text(index: InvertedIndex, query: Query, k: int) -> list[Candidate]:
     """Top-k docs by token overlap; zero-overlap docs never appear."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidParameter(f"k must be >= 1, got {k}")
     overlap: dict[str, int] = {}
     for token in set(tokenize(query.text)):
         for doc_id in index.postings.get(token, ()):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .corpus import SegmentKey
 from .errors import DegenerateDesign, EmptyLog, InvalidP
+from .jsonl import malformed
 
 if TYPE_CHECKING:
     from .corpus import EngagementRecord
@@ -38,7 +39,6 @@ __all__ = [
     "ThresholdModel",
     "percentile_threshold",
     "segment_targets",
-    "encode",
     "fit",
     "predict_threshold",
     "save_model",
@@ -145,6 +145,7 @@ class FeatureEncoding:
         raise KeyError(f"unknown feature {feature!r}")
 
     def encode(self, segment: SegmentKey) -> np.ndarray:
+        """Intercept-plus-one-hot feature vector; unseen categories hit the unknown slot."""
         values = (
             segment.user_country,
             segment.language,
@@ -177,11 +178,6 @@ class FeatureEncoding:
         )
 
 
-def encode(segment: SegmentKey, encoding: FeatureEncoding) -> np.ndarray:
-    """Intercept-plus-one-hot feature vector; unseen categories hit the unknown slot."""
-    return encoding.encode(segment)
-
-
 @dataclass(frozen=True)
 class FitReport:
     mse: float
@@ -195,9 +191,6 @@ class ThresholdModel:
     encoding: FeatureEncoding
     p: float
     fit_report: FitReport
-
-    def predict(self, segment: SegmentKey) -> float:
-        return predict_threshold(self, segment)
 
 
 _JITTER = 1e-8
@@ -249,14 +242,19 @@ def save_model(model: ThresholdModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ThresholdModel:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ThresholdModel(
-        beta=np.array(d["beta"], dtype=np.float64),
-        encoding=FeatureEncoding.from_dict(d["encoding"]),
-        p=float(d["p"]),
-        fit_report=FitReport(
-            mse=float(d["fit_report"]["mse"]),
-            max_residual=float(d["fit_report"]["max_residual"]),
-            n_segments=int(d["fit_report"]["n_segments"]),
-        ),
-    )
+    """Read model.json; broken JSON or a missing field is a MalformedRecord."""
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+        return ThresholdModel(
+            beta=np.array(d["beta"], dtype=np.float64),
+            encoding=FeatureEncoding.from_dict(d["encoding"]),
+            p=float(d["p"]),
+            fit_report=FitReport(
+                mse=float(d["fit_report"]["mse"]),
+                max_residual=float(d["fit_report"]["max_residual"]),
+                n_segments=int(d["fit_report"]["n_segments"]),
+            ),
+        )
+    # json.JSONDecodeError is a ValueError.
+    except (KeyError, ValueError, TypeError) as exc:
+        raise malformed(path, exc) from exc

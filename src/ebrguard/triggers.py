@@ -8,7 +8,6 @@ specific matching rule wins, and the default with no match is Enable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -17,7 +16,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .corpus import EngagementRecord, Intent, SegmentKey, SourceType
-from .errors import DuplicateRule, MalformedRecord
+from .errors import DuplicateRule
+from .jsonl import read_jsonl, write_jsonl
 from .thresholds import percentile_threshold
 
 
@@ -76,22 +76,13 @@ class RuleSet:
     def evaluate(
         self, intent: Intent, source_type: SourceType, country: str | None = None
     ) -> TriggerAction:
+        """Action of the most specific matching rule; Enable when nothing matches."""
         if country is not None:
             rule = self._rules.get((intent, source_type, country))
             if rule is not None:
                 return rule.action
         rule = self._rules.get((intent, source_type, None))
         return rule.action if rule is not None else TriggerAction.ENABLE
-
-
-def evaluate_rules(
-    rules: RuleSet,
-    intent: Intent,
-    source_type: SourceType,
-    country: str | None = None,
-) -> TriggerAction:
-    """Matching rule's action; Enable when nothing matches."""
-    return rules.evaluate(intent, source_type, country)
 
 
 # Intents where semantic retrieval demonstrably misfires: person-name lookups
@@ -184,22 +175,8 @@ def diagnose_segment(
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    rules = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rules.append(TriggerRule.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise MalformedRecord(str(path), line_no, str(exc)) from exc
-    return RuleSet(rules)
+    return RuleSet(read_jsonl(path, TriggerRule.from_dict))
 
 
 def save_rules(rules: RuleSet, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rule in rules.rules():
-            fh.write(json.dumps(rule.to_dict(), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (rule.to_dict() for rule in rules.rules()))

@@ -2,7 +2,7 @@
 
 Desk scale (up to ~100k documents) makes an exact scan both fast enough and
 exactly reproducible, which golden tests rely on. The index is immutable for
-query purposes; remove() returns a new value (copy-on-write), so concurrent
+query purposes; remove_many() returns a new value (copy-on-write), so concurrent
 top-k calls on one index value are safe.
 """
 
@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, SourceType
-from .errors import DimensionMismatch, MissingEmbedding
+from .errors import DimensionMismatch, InvalidParameter, MissingEmbedding
 
 
 class CandidateSource(str, Enum):
@@ -31,14 +31,13 @@ class Candidate:
 
 
 class Index:
-    """Ordered (doc_id, embedding, source_type) entries plus removal tombstones."""
+    """Ordered (doc_id, embedding, source_type) entries."""
 
     def __init__(
         self,
         doc_ids: Sequence[str],
         matrix: np.ndarray,
         source_types: Sequence[SourceType],
-        removed_ids: frozenset[str] = frozenset(),
     ) -> None:
         if matrix.ndim != 2:
             raise DimensionMismatch("embedding matrix must be 2-D")
@@ -47,11 +46,7 @@ class Index:
         self._doc_ids = list(doc_ids)
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         self._source_types = list(source_types)
-        self.removed_ids = frozenset(removed_ids)
         self._positions = {doc_id: i for i, doc_id in enumerate(self._doc_ids)}
-        overlap = self.removed_ids.intersection(self._positions)
-        if overlap:
-            raise ValueError(f"removed ids still present as entries: {sorted(overlap)}")
 
     @property
     def dim(self) -> int:
@@ -70,15 +65,13 @@ class Index:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._positions
 
-    def remove(self, doc_id: str) -> "Index":
-        """Return an index without doc_id; a tombstone records the removal.
-
-        Removing an id that is absent (never present, or already removed) is
-        a no-op, so the operation is idempotent.
-        """
-        return self.remove_many([doc_id])
-
     def remove_many(self, doc_ids: Iterable[str]) -> "Index":
+        """Return an index without doc_ids.
+
+        Ids that are absent (never present, or already removed) are ignored,
+        so the operation is idempotent; with nothing to remove the same
+        index is returned.
+        """
         targets = {d for d in doc_ids if d in self._positions}
         if not targets:
             return self
@@ -87,16 +80,7 @@ class Index:
             [self._doc_ids[i] for i in keep],
             self._matrix[keep],
             [self._source_types[i] for i in keep],
-            self.removed_ids | targets,
         )
-
-    def topk(
-        self,
-        query_vec: np.ndarray,
-        k: int,
-        source_filter: SourceType | None = None,
-    ) -> list[Candidate]:
-        return topk(self, query_vec, k, source_filter)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -130,11 +114,6 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     return Index([d.doc_id for d in docs], matrix, [d.source_type for d in docs])
 
 
-def remove(index: Index, doc_id: str) -> Index:
-    """Copy-on-write removal; see Index.remove."""
-    return index.remove(doc_id)
-
-
 def topk(
     index: Index,
     query_vec: np.ndarray,
@@ -143,7 +122,7 @@ def topk(
 ) -> list[Candidate]:
     """Exact top-k by cosine, descending score, ties broken by ascending doc_id."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidParameter(f"k must be >= 1, got {k}")
     q = np.asarray(query_vec, dtype=np.float64)
     if q.ndim != 1 or q.size != index.dim:
         raise DimensionMismatch(f"query dim {q.shape} vs index dim {index.dim}")

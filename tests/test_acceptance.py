@@ -14,40 +14,35 @@ from ebrguard import (
     CandidateSource,
     EngagementAction,
     EngagementRecord,
-    EvalSession,
-    FeatureEncoding,
     Intent,
-    LabelReason,
     LabelStore,
     RuleSet,
-    SearchResult,
     SegmentKey,
-    Severity,
     SigmoidParams,
     SourceType,
     SyntheticSpec,
     TriggerAction,
     TriggerRule,
     apply_index_removal,
-    apply_threshold,
     build_index,
     build_text_index,
     embed_corpus,
-    encode,
     fit,
     generate_synthetic,
-    label,
-    merge_candidates,
     ndcg_at_k,
     paired_bootstrap,
     predict_threshold,
     retrieve,
-    search_text,
     segment_targets,
     sessions_from_result_pages,
     sigmoid_transform,
-    topk,
 )
+from ebrguard.evaluation import EvalSession
+from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
+from ebrguard.pipeline import SearchResult, apply_threshold, merge_candidates
+from ebrguard.text_retrieval import search_text
+from ebrguard.thresholds import FeatureEncoding
+from ebrguard.vector_index import topk
 SEG = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 
 
@@ -119,10 +114,10 @@ def test_criterion_03_ols_recovery_of_planted_coefficients():
     segments = sorted(segments, key=SegmentKey.sort_key)
     encoding = FeatureEncoding.from_segments(segments)
     beta_star = rng.uniform(-1.0, 1.0, size=encoding.length)
-    targets = {s: float(encode(s, encoding) @ beta_star) for s in segments}
+    targets = {s: float(encoding.encode(s) @ beta_star) for s in segments}
     model = fit(targets)
     errors = [
-        abs(float(encode(s, model.encoding) @ model.beta) - targets[s])
+        abs(float(model.encoding.encode(s) @ model.beta) - targets[s])
         for s in segments
     ]
     assert max(errors) <= 1e-6
@@ -177,7 +172,7 @@ def test_criterion_05_index_removal_zeroes_removable_nonrec(default_synthetic):
     removable = sorted(d.doc_id for d in corpus)[::20]  # 5% of 1000
     assert len(removable) == 50
     for doc_id in removable:
-        label(store, doc_id, Severity.REMOVABLE, LabelReason.MISINFORMATION)
+        store.add(IntegrityLabel(doc_id, Severity.REMOVABLE, LabelReason.MISINFORMATION))
 
     index = build_index(corpus, embed_corpus(corpus, d=32))
     cleaned, removed_count = apply_index_removal(index, store)

@@ -60,7 +60,6 @@ class TestBuildIndex:
         )
         assert code == 0
         assert (out / "embeddings.tsv").exists()
-        assert (out / "removed.jsonl").exists()
 
     def test_missing_corpus_exits_two(self, tmp_path, capsys):
         code, _, err = run(
@@ -176,3 +175,71 @@ class TestLabel:
             assert code == 0
         lines = labels.read_text().splitlines()
         assert [json.loads(l)["severity"] for l in lines] == ["Demotable", "Removable"]
+
+
+class TestBadInputExitsOne:
+    """Bad files and out-of-range flags end in `error: ...` and exit 1, never a traceback."""
+
+    def test_evaluate_bad_results_line_names_file_and_line(self, workdir, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_text(
+            '{"query_id": "q0000", "ebr_triggered": true, "results": []}\n[1, 2]\n'
+        )
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}:2: ")
+
+    def test_search_model_without_beta_names_file(self, workdir, tmp_path, capsys):
+        data = workdir / "data"
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "fit-thresholds", "--log", str(data / "engagement.jsonl"),
+            "--min-support", "5", "--out", str(model_path),
+        )
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        del payload["beta"]
+        model_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "search", "--queries", str(data / "queries.jsonl"),
+            "--corpus", str(data / "corpus.jsonl"), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: missing field 'beta'")
+
+    def test_compare_truncated_report_names_file(self, tmp_path, capsys):
+        report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
+        control, truncated = tmp_path / "control.json", tmp_path / "test.json"
+        control.write_text(json.dumps(report, indent=2))
+        truncated.write_text(json.dumps(report, indent=2)[:40])
+        code, _, err = run(capsys, "compare", str(control), str(truncated))
+        assert code == 1
+        assert err.startswith(f"error: {truncated}:")
+        assert "invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--k", "0"],
+            ["search", "--sigmoid-a", "0"],
+            ["search", "--dim", "4"],
+            ["fit-thresholds", "--sigmoid-a", "0"],
+            ["build-index", "--dim", "4"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_flag(self, workdir, tmp_path, capsys, argv):
+        data = workdir / "data"
+        inputs = {
+            "search": ["--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl")],
+            "fit-thresholds": ["--log", str(data / "engagement.jsonl")],
+            "build-index": ["--corpus", str(data / "corpus.jsonl")],
+        }[argv[0]]
+        code, _, err = run(capsys, *argv, *inputs, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: ")

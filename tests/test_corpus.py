@@ -5,26 +5,27 @@ import json
 import pytest
 
 from ebrguard import (
-    Document,
-    DuplicateId,
     EngagementAction,
     EngagementRecord,
-    FailureCategory,
     Intent,
-    MalformedRecord,
-    Query,
-    RelevanceJudgment,
     SegmentKey,
     SourceType,
+    TriggerAction,
+    TriggerRule,
     load_corpus,
     load_engagement_log,
     load_judgments,
+    load_labels,
     load_queries,
+    load_rules,
     save_corpus,
     save_engagement_log,
     save_judgments,
     save_queries,
 )
+from ebrguard.corpus import Document, FailureCategory, Query, RelevanceJudgment
+from ebrguard.errors import DuplicateId, MalformedRecord
+from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
 
 
 def make_doc(doc_id="d1", **overrides):
@@ -109,6 +110,37 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRecord) as err:
             load_corpus(path)
         assert err.value.line_no == 1
+
+
+# One valid record per loader; the malformed-line tests put a bad line after it.
+VALID_LINE = {
+    load_corpus: make_doc("a").to_dict(),
+    load_queries: Query("q1", "hiking club", "en", "US", "south", Intent.GROUP_TOPIC).to_dict(),
+    load_judgments: RelevanceJudgment("q1", "d1", 3).to_dict(),
+    load_engagement_log: EngagementRecord(
+        "q1", "d1", 0.8, True, EngagementAction.JOIN, SEGMENT
+    ).to_dict(),
+    load_labels: IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.OTHER).to_dict(),
+    load_rules: TriggerRule(Intent.PERSON_NAME, SourceType.UN, TriggerAction.DISABLE).to_dict(),
+}
+
+
+class TestMalformedLines:
+    """Every JSONL loader rejects a bad line with MalformedRecord naming that line."""
+
+    @pytest.mark.parametrize("loader", list(VALID_LINE), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["{broken", "[1, 2]", '{"unrelated": 1}'],
+        ids=["broken-json", "json-list", "missing-key"],
+    )
+    def test_bad_line_reports_path_and_line(self, tmp_path, loader, bad_line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(VALID_LINE[loader]) + "\n\n" + bad_line + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            loader(path)
+        assert err.value.path == str(path)
+        assert err.value.line_no == 3
 
 
 class TestRoundTrips:

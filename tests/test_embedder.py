@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from ebrguard import (
-    DimensionMismatch,
-    MalformedLine,
-    Side,
-    cosine,
-    embed_document,
-    embed_text,
     load_embeddings,
     save_embeddings,
 )
+from ebrguard.embedder import Side, embed_document, embed_text
+from ebrguard.errors import DimensionMismatch, MalformedLine
+from ebrguard.vector_index import cosine
 from tests.test_corpus import make_doc
 
 

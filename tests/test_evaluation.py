@@ -7,20 +7,16 @@ import pytest
 
 from ebrguard import (
     CandidateSource,
-    EmptySessions,
-    EvalReport,
-    EvalSession,
-    FailureCategory,
-    RelevanceJudgment,
-    ResultPage,
-    SearchResult,
     compare_runs,
     evaluate_run,
     ndcg_at_k,
-    nonrec_at_10,
     paired_bootstrap,
     sessions_from_result_pages,
 )
+from ebrguard.corpus import FailureCategory, RelevanceJudgment
+from ebrguard.errors import EmptySessions
+from ebrguard.evaluation import EvalReport, EvalSession, nonrec_at_10
+from ebrguard.pipeline import ResultPage, SearchResult
 from ebrguard.evaluation import load_report, render_delta_table, render_report, save_report
 
 

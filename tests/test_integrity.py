@@ -6,36 +6,32 @@ from hypothesis import strategies as st
 
 from ebrguard import (
     CandidateSource,
-    LabelReason,
     LabelStore,
-    SearchResult,
-    Severity,
-    apply_demotion,
     apply_index_removal,
     build_index,
-    label,
     labels_from_judgments,
     load_labels,
     save_labels,
-    topk,
-    RelevanceJudgment,
-    FailureCategory,
 )
+from ebrguard.corpus import FailureCategory, RelevanceJudgment
+from ebrguard.integrity import IntegrityLabel, LabelReason, Severity, apply_demotion
+from ebrguard.pipeline import SearchResult
+from ebrguard.vector_index import topk
 from tests.test_vector_index import make_fixture, random_unit
 
 
 class TestLabelStore:
     def test_label_then_lookup(self):
         store = LabelStore()
-        label(store, "d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY)
+        store.add(IntegrityLabel("d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
         lab = store.lookup("d1")
         assert lab.severity is Severity.DEMOTABLE
         assert lab.reason is LabelReason.UNTRUSTWORTHY
 
     def test_latest_write_wins_with_audit_trail(self):
         store = LabelStore()
-        label(store, "d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY)
-        label(store, "d1", Severity.REMOVABLE, LabelReason.MISINFORMATION)
+        store.add(IntegrityLabel("d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
+        store.add(IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.MISINFORMATION))
         assert store.lookup("d1").severity is Severity.REMOVABLE
         assert len(store.audit) == 2
         assert len(store) == 1
@@ -45,8 +41,8 @@ class TestLabelStore:
 
     def test_file_round_trip_preserves_audit(self, tmp_path):
         store = LabelStore()
-        label(store, "d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY, ts="t1")
-        label(store, "d1", Severity.REMOVABLE, LabelReason.OFFENSIVE, ts="t2")
+        store.add(IntegrityLabel("d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY, ts="t1"))
+        store.add(IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.OFFENSIVE, ts="t2"))
         path = tmp_path / "labels.jsonl"
         save_labels(store, path)
         loaded = load_labels(path)
@@ -73,9 +69,9 @@ class TestIndexRemoval:
         docs, embeddings = make_fixture(rng, 10)
         index = build_index(docs, embeddings)
         store = LabelStore()
-        label(store, "d0002", Severity.REMOVABLE, LabelReason.MISINFORMATION)
-        label(store, "d0007", Severity.REMOVABLE, LabelReason.OFFENSIVE)
-        label(store, "d0004", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY)
+        store.add(IntegrityLabel("d0002", Severity.REMOVABLE, LabelReason.MISINFORMATION))
+        store.add(IntegrityLabel("d0007", Severity.REMOVABLE, LabelReason.OFFENSIVE))
+        store.add(IntegrityLabel("d0004", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
         cleaned, removed = apply_index_removal(index, store)
         assert removed == 2
         assert len(cleaned) == 8
@@ -98,7 +94,7 @@ class TestIndexRemoval:
         docs, embeddings = make_fixture(rng, 6)
         index = build_index(docs, embeddings)
         store = LabelStore()
-        label(store, "d0001", Severity.REMOVABLE, LabelReason.MISINFORMATION)
+        store.add(IntegrityLabel("d0001", Severity.REMOVABLE, LabelReason.MISINFORMATION))
         once, first = apply_index_removal(index, store)
         twice, second = apply_index_removal(once, store)
         assert (first, second) == (1, 0)
@@ -116,7 +112,7 @@ class TestDemotion:
 
     def test_top_demotable_sinks_to_bottom(self):
         store = LabelStore()
-        label(store, "a", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY)
+        store.add(IntegrityLabel("a", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
         rows = [result("a", 0.9), result("b", 0.5), result("c", 0.4)]
         out = apply_demotion(rows, store)
         assert [r.doc_id for r in out] == ["b", "c", "a"]
@@ -125,7 +121,7 @@ class TestDemotion:
     def test_all_demotable_keeps_order(self):
         store = LabelStore()
         for doc_id in ("a", "b", "c"):
-            label(store, doc_id, Severity.DEMOTABLE, LabelReason.OTHER)
+            store.add(IntegrityLabel(doc_id, Severity.DEMOTABLE, LabelReason.OTHER))
         rows = [result("a", 0.9), result("b", 0.5), result("c", 0.4)]
         out = apply_demotion(rows, store)
         assert [r.doc_id for r in out] == ["a", "b", "c"]
@@ -133,7 +129,7 @@ class TestDemotion:
 
     def test_removable_dropped_outright(self):
         store = LabelStore()
-        label(store, "b", Severity.REMOVABLE, LabelReason.MISINFORMATION)
+        store.add(IntegrityLabel("b", Severity.REMOVABLE, LabelReason.MISINFORMATION))
         rows = [result("a"), result("b"), result("c")]
         out = apply_demotion(rows, store)
         assert [r.doc_id for r in out] == ["a", "c"]
@@ -146,7 +142,7 @@ class TestDemotion:
         for doc_id in doc_ids:
             if data.draw(st.booleans()):
                 demotable.add(doc_id)
-                label(store, doc_id, Severity.DEMOTABLE, LabelReason.OTHER)
+                store.add(IntegrityLabel(doc_id, Severity.DEMOTABLE, LabelReason.OTHER))
         rows = [result(d, score=1.0 - i / 10) for i, d in enumerate(doc_ids)]
         out = apply_demotion(rows, store)
         kept = [r.doc_id for r in out if not r.demoted]
@@ -157,7 +153,7 @@ class TestDemotion:
 
     def test_idempotent(self):
         store = LabelStore()
-        label(store, "b", Severity.DEMOTABLE, LabelReason.OTHER)
+        store.add(IntegrityLabel("b", Severity.DEMOTABLE, LabelReason.OTHER))
         rows = [result("a"), result("b"), result("c")]
         once = apply_demotion(rows, store)
         assert apply_demotion(once, store) == once

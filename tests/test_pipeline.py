@@ -8,28 +8,28 @@ import pytest
 from ebrguard import (
     CandidateSource,
     Intent,
-    LabelReason,
     LabelStore,
-    Query,
-    ResultPage,
     RetrievalConfig,
     RuleSet,
-    SearchResult,
-    Severity,
     SigmoidParams,
     SourceType,
     TriggerAction,
     TriggerRule,
-    apply_threshold,
     build_index,
     build_text_index,
     embed_corpus,
     fit,
-    label,
-    merge_candidates,
     retrieve,
     sigmoid_transform,
     SegmentKey,
+)
+from ebrguard.corpus import Query
+from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
+from ebrguard.pipeline import (
+    ResultPage,
+    SearchResult,
+    apply_threshold,
+    merge_candidates,
 )
 from tests.test_corpus import make_doc
 
@@ -234,7 +234,7 @@ class TestRetrieve:
         ]
         index, text_index = build_fixture(docs)
         store = LabelStore()
-        label(store, "bad", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY)
+        store.add(IntegrityLabel("bad", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
         page = retrieve(
             make_query("denver hiking club"), index, text_index, None, NO_RULES, store
         )
@@ -251,7 +251,7 @@ class TestRetrieve:
         ]
         index, text_index = build_fixture(docs)
         store = LabelStore()
-        label(store, "poison", Severity.REMOVABLE, LabelReason.MISINFORMATION)
+        store.add(IntegrityLabel("poison", Severity.REMOVABLE, LabelReason.MISINFORMATION))
         page = retrieve(
             make_query("denver hiking club"), index, text_index, None, NO_RULES, store
         )

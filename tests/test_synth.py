@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from ebrguard import (
-    FailureCategory,
     Intent,
-    InvalidSpec,
     SegmentKey,
     SourceType,
     SyntheticSpec,
@@ -16,6 +14,8 @@ from ebrguard import (
     save_corpus,
     load_corpus,
 )
+from ebrguard.corpus import FailureCategory
+from ebrguard.errors import InvalidSpec
 from ebrguard.synth import largest_remainder
 
 

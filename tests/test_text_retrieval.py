@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from ebrguard import (
     CandidateSource,
     Intent,
-    Query,
     build_text_index,
-    search_text,
-    tokenize,
 )
+from ebrguard.corpus import Query
+from ebrguard.text_retrieval import search_text, tokenize
 from tests.test_corpus import make_doc
 
 

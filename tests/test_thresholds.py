@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebrguard import (
-    DegenerateDesign,
-    EmptyLog,
     EngagementAction,
     EngagementRecord,
-    FeatureEncoding,
     Intent,
-    InvalidP,
     SegmentKey,
     SourceType,
-    encode,
     fit,
     load_model,
-    percentile_threshold,
     predict_threshold,
     save_model,
     segment_targets,
 )
+from ebrguard.errors import DegenerateDesign, EmptyLog, InvalidP
+from ebrguard.thresholds import FeatureEncoding, percentile_threshold
 
 SEG_A = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
 SEG_B = SegmentKey("GB", "en", Intent.GROUP_TOPIC, SourceType.CN)
@@ -135,7 +131,7 @@ class TestSegmentTargets:
 class TestEncoding:
     def test_intercept_and_one_hot_blocks(self):
         encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
-        x = encode(SEG_A, encoding)
+        x = encoding.encode(SEG_A)
         assert x[0] == 1.0
         # intercept + one active slot in each of the four blocks
         assert x.sum() == 5.0
@@ -144,19 +140,19 @@ class TestEncoding:
     def test_unseen_category_hits_unknown_slot(self):
         encoding = FeatureEncoding.from_segments([SEG_A, SEG_B])
         stranger = SegmentKey("ZZ", "en", Intent.GROUP_TOPIC, SourceType.UN)
-        x = encode(stranger, encoding)
+        x = encoding.encode(stranger)
         unknown_pos = encoding.position("user_country", "__unknown__")
         assert x[unknown_pos] == 1.0
         assert x.sum() == 5.0
 
     def test_distinct_segments_get_distinct_vectors(self):
         encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
-        xs = [tuple(encode(s, encoding)) for s in (SEG_A, SEG_B, SEG_C)]
+        xs = [tuple(encoding.encode(s)) for s in (SEG_A, SEG_B, SEG_C)]
         assert len(set(xs)) == 3
 
     def test_position_lookup_matches_encode(self):
         encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
-        x = encode(SEG_B, encoding)
+        x = encoding.encode(SEG_B)
         assert x[encoding.position("user_country", "GB")] == 1.0
         assert x[encoding.position("doc_source_type", "CN")] == 1.0
 
@@ -193,12 +189,12 @@ class TestFit:
         encoding = FeatureEncoding.from_segments(segments)
         beta_star = rng.uniform(-1, 1, size=encoding.length)
         targets = {
-            seg: float(encode(seg, encoding) @ beta_star) for seg in segments
+            seg: float(encoding.encode(seg) @ beta_star) for seg in segments
         }
         model = fit(targets)
         for seg in segments:
-            planted = float(encode(seg, encoding) @ beta_star)
-            fitted = float(encode(seg, model.encoding) @ model.beta)
+            planted = float(encoding.encode(seg) @ beta_star)
+            fitted = float(model.encoding.encode(seg) @ model.beta)
             assert abs(fitted - planted) <= 1e-6
 
     def test_reported_mse_matches_recomputation(self):
@@ -207,7 +203,7 @@ class TestFit:
         targets = {seg: float(rng.uniform(0.2, 0.8)) for seg in segments}
         model = fit(targets)
         residuals = [
-            float(encode(s, model.encoding) @ model.beta) - targets[s]
+            float(model.encoding.encode(s) @ model.beta) - targets[s]
             for s in sorted(segments, key=SegmentKey.sort_key)
         ]
         assert model.fit_report.mse == pytest.approx(
@@ -223,7 +219,7 @@ class TestFit:
         targets = {seg: float(rng.uniform(0.2, 0.8)) for seg in segments}
         model = fit(targets)
         ordered = sorted(segments, key=SegmentKey.sort_key)
-        X = np.vstack([encode(s, model.encoding) for s in ordered])
+        X = np.vstack([model.encoding.encode(s) for s in ordered])
         y = np.array([targets[s] for s in ordered])
         base_mse = float(np.mean((X @ model.beta - y) ** 2))
         for j in range(len(model.beta)):
@@ -253,7 +249,7 @@ class TestPredict:
     def test_prediction_is_plain_dot_product(self):
         model = fit({SEG_A: 0.3, SEG_B: 0.5, SEG_C: 0.7})
         for seg in (SEG_A, SEG_B, SEG_C):
-            manual = float(encode(seg, model.encoding) @ model.beta)
+            manual = float(model.encoding.encode(seg) @ model.beta)
             assert abs(predict_threshold(model, seg) - min(1.0, max(0.0, manual))) <= 1e-12
 
 

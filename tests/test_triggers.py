@@ -4,7 +4,6 @@ import pytest
 
 from ebrguard import (
     DEFAULT_RULES,
-    DuplicateRule,
     EngagementAction,
     EngagementRecord,
     Intent,
@@ -14,11 +13,11 @@ from ebrguard import (
     TriggerAction,
     TriggerRule,
     diagnose_segment,
-    evaluate_rules,
     load_rules,
     save_rules,
     segment_targets,
 )
+from ebrguard.errors import DuplicateRule
 
 SEG = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 
@@ -26,19 +25,19 @@ SEG = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 class TestEvaluateRules:
     def test_default_rules_disable_person_name_un(self):
         assert (
-            evaluate_rules(DEFAULT_RULES, Intent.PERSON_NAME, SourceType.UN)
+            DEFAULT_RULES.evaluate(Intent.PERSON_NAME, SourceType.UN)
             is TriggerAction.DISABLE
         )
 
     def test_default_rules_disable_connected_celebrity(self):
         assert (
-            evaluate_rules(DEFAULT_RULES, Intent.CELEBRITY_CONNECTED, SourceType.CN)
+            DEFAULT_RULES.evaluate(Intent.CELEBRITY_CONNECTED, SourceType.CN)
             is TriggerAction.DISABLE
         )
 
     def test_no_rule_defaults_to_enable(self):
         assert (
-            evaluate_rules(DEFAULT_RULES, Intent.GROUP_TOPIC, SourceType.CN)
+            DEFAULT_RULES.evaluate(Intent.GROUP_TOPIC, SourceType.CN)
             is TriggerAction.ENABLE
         )
 

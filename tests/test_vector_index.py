@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebrguard import (
-    Candidate,
     CandidateSource,
-    DimensionMismatch,
-    MissingEmbedding,
     SourceType,
     build_index,
-    cosine,
-    topk,
 )
+from ebrguard.errors import DimensionMismatch, MissingEmbedding
+from ebrguard.vector_index import Candidate, cosine, topk
 from tests.test_corpus import make_doc
 
 
@@ -103,7 +100,6 @@ class TestBuildIndex:
     def test_empty_corpus(self):
         index = build_index([], {})
         assert len(index) == 0
-        assert index.removed_ids == frozenset()
 
     def test_entries_in_doc_order(self):
         rng = np.random.default_rng(1)
@@ -178,8 +174,8 @@ class TestRemove:
     def test_removed_doc_never_returned(self):
         rng = np.random.default_rng(7)
         docs, embeddings = make_fixture(rng, 30)
-        index = build_index(docs, embeddings).remove("d0003")
-        assert "d0003" in index.removed_ids
+        index = build_index(docs, embeddings).remove_many(["d0003"])
+        assert "d0003" not in index
         for _ in range(10):
             q = random_unit(rng, 16)
             assert all(c.doc_id != "d0003" for c in topk(index, q, 30))
@@ -188,30 +184,28 @@ class TestRemove:
         rng = np.random.default_rng(8)
         docs, embeddings = make_fixture(rng, 10)
         index = build_index(docs, embeddings)
-        once = index.remove("d0001")
-        twice = once.remove("d0001")
+        once = index.remove_many(["d0001"])
+        twice = once.remove_many(["d0001"])
         assert twice.doc_ids == once.doc_ids
-        assert twice.removed_ids == once.removed_ids
 
     def test_removing_absent_id_is_noop(self):
         rng = np.random.default_rng(9)
         docs, embeddings = make_fixture(rng, 5)
         index = build_index(docs, embeddings)
-        same = index.remove("never-there")
+        same = index.remove_many(["never-there"])
         assert same.doc_ids == index.doc_ids
-        assert same.removed_ids == frozenset()
 
     def test_remove_all_docs_empties_topk(self):
         rng = np.random.default_rng(10)
         docs, embeddings = make_fixture(rng, 5)
         index = build_index(docs, embeddings)
         for doc in docs:
-            index = index.remove(doc.doc_id)
+            index = index.remove_many([doc.doc_id])
         assert topk(index, random_unit(rng, 16), 3) == []
 
     def test_original_index_unchanged(self):
         rng = np.random.default_rng(11)
         docs, embeddings = make_fixture(rng, 5)
         index = build_index(docs, embeddings)
-        index.remove("d0000")
+        index.remove_many(["d0000"])
         assert "d0000" in index
