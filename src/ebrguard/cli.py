@@ -27,17 +27,16 @@ from .corpus import (
     save_queries,
 )
 from .embedder import DEFAULT_DIM, embed_corpus, load_embeddings, save_embeddings
-from .errors import GuardrailError, InvalidP
+from .errors import GuardrailError, InvalidParameter
 from .integrity import (
     IntegrityLabel,
     LabelReason,
     LabelStore,
     Severity,
-    append_label,
     apply_index_removal,
     load_labels,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import append_jsonl, read_jsonl, write_jsonl
 from .pipeline import RetrievalConfig, ResultPage, SigmoidParams, retrieve, sigmoid_transform
 from .text_retrieval import build_text_index
 from .thresholds import (
@@ -77,10 +76,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_build_index(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
-    if args.embeddings:
-        embeddings = load_embeddings(args.embeddings)
-    else:
-        embeddings = embed_corpus(docs, d=args.dim)
+    embeddings = embed_corpus(docs, d=args.dim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     index = build_index(docs, embeddings)
@@ -91,7 +87,7 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
 
 def _cmd_fit_thresholds(args: argparse.Namespace) -> int:
     if not 0.0 < args.p <= 1.0:
-        raise InvalidP(f"p must be in (0, 1], got {args.p}")
+        raise InvalidParameter(f"p must be in (0, 1], got {args.p}")
     params = SigmoidParams(a=args.sigmoid_a, b=args.sigmoid_b)
     log = load_engagement_log(args.log)
     targets = segment_targets(
@@ -116,10 +112,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     docs = load_corpus(args.corpus)
     queries = load_queries(args.queries)
-    if args.embeddings:
-        embeddings = load_embeddings(args.embeddings)
-    else:
-        embeddings = embed_corpus(docs, d=args.dim)
+    embeddings = load_embeddings(args.embeddings)
     index = build_index(docs, embeddings)
     store = load_labels(args.labels) if args.labels else LabelStore()
     index, removed = apply_index_removal(index, store)
@@ -148,7 +141,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
         reason=LabelReason(args.reason),
         ts=ts,
     )
-    append_label(args.labels, lab)
+    append_jsonl(args.labels, lab.to_dict())
     print(f"labeled {args.doc_id} {lab.severity.value}/{lab.reason.value} -> {args.labels}")
     return 0
 
@@ -193,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-index", help="embed a corpus and persist the index files")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", help="precomputed embeddings to load instead of the stand-in embedder")
     p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_build_index)
@@ -209,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run queries through the guarded retrieval pipeline")
     p.add_argument("--queries", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    p.add_argument("--embeddings", required=True, help="embeddings.tsv written by build-index")
     p.add_argument("--model", help="threshold model JSON; omit to retrieve without discarding")
     p.add_argument("--rules", help="trigger rules JSONL; omit for the default rule set")
     p.add_argument("--labels", help="integrity labels JSONL; omit for no labels")

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DuplicateId
-from .integrity import IntegrityLabel, LabelReason, Severity
 from .jsonl import read_jsonl, write_jsonl
 
 
@@ -120,14 +119,13 @@ class Document:
     region: str
     topic: str
     source_type: SourceType
-    integrity_label: IntegrityLabel | None = None
 
     def __post_init__(self) -> None:
         if not self.doc_id:
             raise ValueError("doc_id must be nonempty")
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "doc_id": self.doc_id,
             "title": self.title,
             "description": self.description,
@@ -137,24 +135,9 @@ class Document:
             "topic": self.topic,
             "source_type": self.source_type.value,
         }
-        if self.integrity_label is not None:
-            d["integrity_label"] = {
-                "doc_id": self.integrity_label.doc_id,
-                "severity": self.integrity_label.severity.value,
-                "reason": self.integrity_label.reason.value,
-            }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Document":
-        label = None
-        if d.get("integrity_label") is not None:
-            raw = d["integrity_label"]
-            label = IntegrityLabel(
-                doc_id=raw.get("doc_id", d["doc_id"]),
-                severity=Severity(raw["severity"]),
-                reason=LabelReason(raw["reason"]),
-            )
         return cls(
             doc_id=d["doc_id"],
             title=d["title"],
@@ -164,7 +147,6 @@ class Document:
             region=d["region"],
             topic=d["topic"],
             source_type=SourceType(d["source_type"]),
-            integrity_label=label,
         )
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document
-from .errors import DimensionMismatch, InvalidParameter, MalformedLine
+from .errors import DimensionMismatch, InvalidParameter, MalformedRecord
 
 DEFAULT_DIM = 64
 
@@ -89,10 +89,11 @@ def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Read lines of `doc_id<TAB>v1,v2,...,vd`; vectors are renormalized on load.
+    """Read lines of `doc_id<TAB>v1,v2,...,vd` exactly as written.
 
-    All vectors must share one dimension. A zero vector falls back to e_0,
-    matching the embed_text zero guard.
+    Vectors are not normalised here (build_index does that), so a
+    save_embeddings/load_embeddings round trip is bit-exact. All vectors must
+    share one dimension, and each doc_id may appear on one line only.
     """
     path = Path(path)
     out: dict[str, np.ndarray] = {}
@@ -104,22 +105,23 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise MalformedLine(str(path), line_no, "expected doc_id<TAB>values")
+                raise MalformedRecord(str(path), line_no, "expected doc_id<TAB>values")
             doc_id, values = parts
+            if doc_id in out:
+                raise MalformedRecord(str(path), line_no, f"duplicate doc_id {doc_id!r}")
             try:
                 v = np.array([float(x) for x in values.split(",")], dtype=np.float64)
             except ValueError as exc:
-                raise MalformedLine(str(path), line_no, f"bad vector value: {exc}") from exc
+                raise MalformedRecord(str(path), line_no, f"bad vector value: {exc}") from exc
             if not np.all(np.isfinite(v)):
-                raise MalformedLine(str(path), line_no, "non-finite vector component")
+                raise MalformedRecord(str(path), line_no, "non-finite vector component")
             if dim is None:
                 dim = v.size
             elif v.size != dim:
                 raise DimensionMismatch(
                     f"{path}:{line_no}: dimension {v.size} != {dim}"
                 )
-            norm = np.linalg.norm(v)
-            out[doc_id] = v / norm if norm > 0 else _basis_vector(v.size)
+            out[doc_id] = v
     return out
 
 

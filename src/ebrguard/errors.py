@@ -12,7 +12,7 @@ class GuardrailError(Exception):
 
 
 class MalformedRecord(GuardrailError):
-    """A JSON record failed to parse or violates its schema.
+    """A JSON record or an embeddings line failed to parse or violates its schema.
 
     line_no is the 1-based line in the file, or None when the error belongs
     to a whole-file JSON document rather than to one line of it.
@@ -27,7 +27,7 @@ class MalformedRecord(GuardrailError):
 
 
 class InvalidParameter(GuardrailError, ValueError):
-    """A numeric setting (k, embedding dimension, sigmoid scale) is out of range."""
+    """A numeric setting (k, embedding dimension, sigmoid scale, retention p) is out of range."""
 
 
 class DuplicateId(GuardrailError):
@@ -46,16 +46,6 @@ class DimensionMismatch(GuardrailError):
     """Vectors of different dimensions were combined."""
 
 
-class MalformedLine(GuardrailError):
-    """An embedding-file line could not be parsed."""
-
-    def __init__(self, path: str, line_no: int, detail: str) -> None:
-        self.path = str(path)
-        self.line_no = line_no
-        self.detail = detail
-        super().__init__(f"{path}:{line_no}: {detail}")
-
-
 class MissingEmbedding(GuardrailError):
     """A document has no embedding in the supplied map."""
 
@@ -66,10 +56,6 @@ class MissingEmbedding(GuardrailError):
 
 class EmptyLog(GuardrailError):
     """An engagement log required to be nonempty was empty."""
-
-
-class InvalidP(GuardrailError):
-    """A retention fraction p fell outside (0, 1]."""
 
 
 class DegenerateDesign(GuardrailError):

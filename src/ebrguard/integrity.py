@@ -10,12 +10,12 @@ for a doc_id wins.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
+from .corpus import INTEGRITY_CATEGORIES, RelevanceJudgment
 from .jsonl import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
@@ -141,22 +141,14 @@ def apply_demotion(results: Sequence[_R], store: LabelStore) -> list[_R]:
     return kept + demoted
 
 
-def labels_from_judgments(judgments, severity_for_reason=None) -> LabelStore:
-    """Build a store from judged integrity failures (keyed on category names)."""
-    mapping = severity_for_reason or DEFAULT_SEVERITY_FOR_REASON
+def labels_from_judgments(judgments: Iterable[RelevanceJudgment]) -> LabelStore:
+    """Label every judged integrity failure, in judgment order, with its
+    reason's DEFAULT_SEVERITY_FOR_REASON."""
     store = LabelStore()
-    valid = {r.value for r in LabelReason}
     for j in judgments:
-        cat = getattr(j, "failure_category", None)
-        if cat is None:
-            continue
-        name = getattr(cat, "value", cat)
-        if name not in valid:
-            continue
-        reason = LabelReason(name)
-        store.add(
-            IntegrityLabel(doc_id=j.doc_id, severity=mapping[reason], reason=reason)
-        )
+        if j.failure_category in INTEGRITY_CATEGORIES:
+            reason = LabelReason(j.failure_category.value)
+            store.add(IntegrityLabel(j.doc_id, DEFAULT_SEVERITY_FOR_REASON[reason], reason))
     return store
 
 
@@ -166,9 +158,3 @@ def load_labels(path: str | Path) -> LabelStore:
 
 def save_labels(store: LabelStore, path: str | Path) -> None:
     write_jsonl(path, (lab.to_dict() for lab in store.audit))
-
-
-def append_label(path: str | Path, lab: IntegrityLabel) -> None:
-    with Path(path).open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(lab.to_dict(), ensure_ascii=False))
-        fh.write("\n")

@@ -53,8 +53,18 @@ def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
     return records
 
 
+def _encode(d: dict) -> str:
+    return json.dumps(d, ensure_ascii=False) + "\n"
+
+
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
     """Write one compact JSON object per line, non-ASCII kept as UTF-8."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for d in dicts:
-            fh.write(json.dumps(d, ensure_ascii=False) + "\n")
+            fh.write(_encode(d))
+
+
+def append_jsonl(path: str | Path, d: dict) -> None:
+    """Append one record in write_jsonl's encoding, creating path if absent."""
+    with Path(path).open("a", encoding="utf-8") as fh:
+        fh.write(_encode(d))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import SegmentKey
-from .errors import DegenerateDesign, EmptyLog, InvalidP
+from .errors import DegenerateDesign, EmptyLog, InvalidParameter
 from .jsonl import malformed
 
 if TYPE_CHECKING:
@@ -58,7 +58,7 @@ def percentile_threshold(scores: Sequence[float], p: float) -> float:
     ties correctly: every copy of a value counts toward retention.
     """
     if not 0.0 < p <= 1.0:
-        raise InvalidP(f"p must be in (0, 1], got {p}")
+        raise InvalidParameter(f"p must be in (0, 1], got {p}")
     arr = np.sort(np.asarray(scores, dtype=np.float64))[::-1]
     if arr.size == 0:
         raise EmptyLog("no scores to take a percentile of")
@@ -85,7 +85,7 @@ def segment_targets(
     as-is.
     """
     if not 0.0 < p <= 1.0:
-        raise InvalidP(f"p must be in (0, 1], got {p}")
+        raise InvalidParameter(f"p must be in (0, 1], got {p}")
     if not log:
         raise EmptyLog("engagement log is empty")
     by_segment: dict[SegmentKey, list[float]] = defaultdict(list)

@@ -4,7 +4,24 @@ import json
 
 import pytest
 
+from ebrguard import (
+    DEFAULT_RULES,
+    RetrievalConfig,
+    SigmoidParams,
+    apply_index_removal,
+    build_index,
+    build_text_index,
+    embed_corpus,
+    labels_from_judgments,
+    load_corpus,
+    load_judgments,
+    load_model,
+    load_queries,
+    retrieve,
+    save_labels,
+)
 from ebrguard.cli import main
+from ebrguard.jsonl import write_jsonl
 
 
 def run(capsys, *argv):
@@ -15,14 +32,27 @@ def run(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """One generated dataset shared by the workflow tests."""
+    """One generated dataset and its index/embeddings.tsv, shared by the workflow tests."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     code = main(
         ["gen-data", "--seed", "7", "--n-docs", "240", "--n-queries", "30", "--out", str(data)]
     )
     assert code == 0
+    code = main(
+        ["build-index", "--corpus", str(data / "corpus.jsonl"), "--out", str(root / "index")]
+    )
+    assert code == 0
     return root
+
+
+def search_inputs(workdir):
+    """The input flags every `search` call in these tests passes."""
+    data = workdir / "data"
+    return [
+        "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+        "--embeddings", str(workdir / "index" / "embeddings.tsv"),
+    ]
 
 
 class TestGenData:
@@ -52,8 +82,8 @@ class TestGenData:
 
 
 class TestBuildIndex:
-    def test_writes_index_files(self, workdir, capsys):
-        out = workdir / "index"
+    def test_writes_index_files(self, workdir, tmp_path, capsys):
+        out = tmp_path / "index"
         code, _, _ = run(
             capsys, "build-index", "--corpus", str(workdir / "data" / "corpus.jsonl"),
             "--out", str(out),
@@ -97,8 +127,7 @@ class TestSearchEvaluateCompare:
         data = workdir / "data"
         results = workdir / "results.jsonl"
         code, _, _ = run(
-            capsys, "search", "--queries", str(data / "queries.jsonl"),
-            "--corpus", str(data / "corpus.jsonl"),
+            capsys, "search", *search_inputs(workdir),
             "--model", str(workdir / "model.json"),
             "--k", "10", "--out", str(results),
         )
@@ -124,15 +153,45 @@ class TestSearchEvaluateCompare:
         assert "+0.000%" in out or "undefined" in out
 
     def test_search_is_deterministic(self, workdir, tmp_path, capsys):
-        data = workdir / "data"
         out_a, out_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (out_a, out_b):
-            code, _, _ = run(
-                capsys, "search", "--queries", str(data / "queries.jsonl"),
-                "--corpus", str(data / "corpus.jsonl"), "--out", str(out),
-            )
+            code, _, _ = run(capsys, "search", *search_inputs(workdir), "--out", str(out))
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_search_matches_library_pages_byte_for_byte(self, workdir, tmp_path, capsys):
+        """Pages from build-index's embeddings.tsv equal pages over in-memory embeddings."""
+        data = workdir / "data"
+        model_path, labels = tmp_path / "model.json", tmp_path / "labels.jsonl"
+        sigmoid = ["--sigmoid-a", "6", "--sigmoid-b", "-3"]
+        code, _, _ = run(
+            capsys, "fit-thresholds", "--log", str(data / "engagement.jsonl"),
+            "--min-support", "5", *sigmoid, "--out", str(model_path),
+        )
+        assert code == 0
+        judgments = load_judgments(data / "judgments.jsonl")
+        save_labels(labels_from_judgments(judgments), labels)
+        cli_out = tmp_path / "cli.jsonl"
+        code, _, _ = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--labels", str(labels), *sigmoid, "--out", str(cli_out),
+        )
+        assert code == 0
+
+        corpus = load_corpus(data / "corpus.jsonl")
+        store = labels_from_judgments(judgments)
+        index, _ = apply_index_removal(build_index(corpus, embed_corpus(corpus)), store)
+        text_index, model = build_text_index(corpus), load_model(model_path)
+        config = RetrievalConfig(k=10, sigmoid=SigmoidParams(a=6.0, b=-3.0))
+        lib_out = tmp_path / "lib.jsonl"
+        write_jsonl(
+            lib_out,
+            (
+                retrieve(q, index, text_index, model, DEFAULT_RULES, store, config).to_dict()
+                for q in load_queries(data / "queries.jsonl")
+            ),
+        )
+        assert cli_out.read_bytes() == lib_out.read_bytes()
 
 
 class TestLabel:
@@ -156,8 +215,7 @@ class TestLabel:
 
         results = workdir / "labeled_results.jsonl"
         code, _, _ = run(
-            capsys, "search", "--queries", str(data / "queries.jsonl"),
-            "--corpus", str(data / "corpus.jsonl"), "--labels", str(labels),
+            capsys, "search", *search_inputs(workdir), "--labels", str(labels),
             "--out", str(results),
         )
         assert code == 0
@@ -205,8 +263,7 @@ class TestBadInputExitsOne:
         del payload["beta"]
         model_path.write_text(json.dumps(payload))
         code, _, err = run(
-            capsys, "search", "--queries", str(data / "queries.jsonl"),
-            "--corpus", str(data / "corpus.jsonl"), "--model", str(model_path),
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
             "--out", str(tmp_path / "results.jsonl"),
         )
         assert code == 1
@@ -227,7 +284,6 @@ class TestBadInputExitsOne:
         [
             ["search", "--k", "0"],
             ["search", "--sigmoid-a", "0"],
-            ["search", "--dim", "4"],
             ["fit-thresholds", "--sigmoid-a", "0"],
             ["build-index", "--dim", "4"],
         ],
@@ -236,7 +292,7 @@ class TestBadInputExitsOne:
     def test_out_of_range_flag(self, workdir, tmp_path, capsys, argv):
         data = workdir / "data"
         inputs = {
-            "search": ["--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl")],
+            "search": search_inputs(workdir),
             "fit-thresholds": ["--log", str(data / "engagement.jsonl")],
             "build-index": ["--corpus", str(data / "corpus.jsonl")],
         }[argv[0]]

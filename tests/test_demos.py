@@ -1,7 +1,8 @@
-"""Smoke test of the package root: every demo and the README quickstart run."""
+"""Smoke test of the package root: every demo, the README quickstart and CLI block run."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,16 +11,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-QUICKSTART = re.search(
-    r"## Library quickstart\s+```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S
-).group(1)
+README = (ROOT / "README.md").read_text()
+QUICKSTART = re.search(r"## Library quickstart\s+```python\n(.*?)```", README, re.S).group(1)
+CLI_BLOCK = re.search(r"## CLI\n.*?```bash\n(.*?)```", README, re.S).group(1)
 
 
-def run_python(argv):
+def run_python(argv, cwd=ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
 
 
@@ -32,3 +33,13 @@ def test_demo_runs(demo):
 def test_readme_quickstart_runs():
     proc = run_python(["-c", QUICKSTART])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """The README's CLI lines run in order in an empty directory, so each reads
+    only files that an earlier line wrote."""
+    lines = CLI_BLOCK.replace("\\\n", " ").splitlines()
+    for argv in (shlex.split(line) for line in lines if line.strip()):
+        assert argv[0] == "ebrguard"
+        proc = run_python(["-m", "ebrguard.cli", *argv[1:]], cwd=tmp_path)
+        assert proc.returncode == 0, f"{shlex.join(argv)}\n{proc.stderr}"

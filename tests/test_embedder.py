@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from ebrguard import (
+    SyntheticSpec,
+    embed_corpus,
+    generate_synthetic,
     load_embeddings,
     save_embeddings,
 )
 from ebrguard.embedder import Side, embed_document, embed_text
-from ebrguard.errors import DimensionMismatch, MalformedLine
+from ebrguard.errors import DimensionMismatch, MalformedRecord
 from ebrguard.vector_index import cosine
 from tests.test_corpus import make_doc
 
@@ -85,12 +88,6 @@ class TestEmbeddingFiles:
         path.write_text("")
         assert load_embeddings(path) == {}
 
-    def test_renormalized_on_load(self, tmp_path):
-        path = tmp_path / "emb.tsv"
-        path.write_text("d1\t0,0,3,4\n")
-        loaded = load_embeddings(path)
-        np.testing.assert_allclose(loaded["d1"], [0.0, 0.0, 0.6, 0.8], atol=1e-12)
-
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("d1\t1,0,0\nd2\t1,0\n")
@@ -100,20 +97,35 @@ class TestEmbeddingFiles:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("d1 1,0,0\n")
-        with pytest.raises(MalformedLine):
+        with pytest.raises(MalformedRecord):
             load_embeddings(path)
         path.write_text("d1\t1,zero,0\n")
-        with pytest.raises(MalformedLine):
+        with pytest.raises(MalformedRecord):
             load_embeddings(path)
 
-    def test_round_trip(self, tmp_path):
+    def test_duplicate_doc_id_names_second_line(self, tmp_path):
         path = tmp_path / "emb.tsv"
-        vectors = {
-            "d1": embed_text("hiking club", Side.DOC, 16),
-            "d2": embed_text("jazz circle", Side.DOC, 16),
-        }
+        path.write_text("a\t1,0\nb\t0,1\na\t0,1\n")
+        with pytest.raises(MalformedRecord) as exc:
+            load_embeddings(path)
+        assert exc.value.line_no == 3
+        assert "duplicate doc_id 'a'" in str(exc.value)
+
+    def test_read_exactly_as_written(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("d1\t0,0,3,4\nd2\t0,0,0,0\n")
+        loaded = load_embeddings(path)
+        assert loaded["d1"].tolist() == [0.0, 0.0, 3.0, 4.0]
+        assert loaded["d2"].tolist() == [0.0] * 4
+
+    def test_round_trip(self, tmp_path):
+        """save_embeddings then load_embeddings gives back every vector bit for bit."""
+        corpus = generate_synthetic(SyntheticSpec(seed=7, n_docs=240, n_queries=30)).corpus
+        vectors = embed_corpus(corpus)
+        path = tmp_path / "emb.tsv"
         save_embeddings(vectors, path)
         loaded = load_embeddings(path)
-        assert set(loaded) == {"d1", "d2"}
-        for doc_id in vectors:
-            np.testing.assert_allclose(loaded[doc_id], vectors[doc_id], atol=1e-12)
+        assert list(loaded) == list(vectors)
+        for doc_id, v in vectors.items():
+            assert loaded[doc_id].dtype == v.dtype
+            assert loaded[doc_id].tobytes() == v.tobytes()

@@ -17,7 +17,7 @@ from ebrguard import (
     save_model,
     segment_targets,
 )
-from ebrguard.errors import DegenerateDesign, EmptyLog, InvalidP
+from ebrguard.errors import DegenerateDesign, EmptyLog, InvalidParameter
 from ebrguard.thresholds import FeatureEncoding, percentile_threshold
 
 SEG_A = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
@@ -60,7 +60,7 @@ class TestPercentileThreshold:
 
     def test_invalid_p(self):
         for p in (0.0, -0.5, 1.0001):
-            with pytest.raises(InvalidP):
+            with pytest.raises(InvalidParameter):
                 percentile_threshold(WORKED_SCORES, p)
 
     @given(
@@ -124,7 +124,7 @@ class TestSegmentTargets:
             segment_targets([], 0.9)
 
     def test_invalid_p(self):
-        with pytest.raises(InvalidP):
+        with pytest.raises(InvalidParameter):
             segment_targets(records_for(SEG_A, WORKED_SCORES), 1.5)
 
 

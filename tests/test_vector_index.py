@@ -107,6 +107,13 @@ class TestBuildIndex:
         index = build_index(docs, embeddings)
         assert index.doc_ids == [d.doc_id for d in docs]
 
+    def test_scales_rows_to_unit_norm_and_keeps_zero_rows_zero(self):
+        docs = [make_doc("d1"), make_doc("d2")]
+        index = build_index(docs, {"d1": np.array([0.0, 0.0, 3.0, 4.0]), "d2": np.zeros(4)})
+        scores = [{c.doc_id: c.raw_score for c in topk(index, e, 2)} for e in np.eye(4)]
+        assert [s["d1"] for s in scores] == [0.0, 0.0, 0.6, 0.8]
+        assert [s["d2"] for s in scores] == [0.0] * 4
+
     def test_missing_embedding(self):
         rng = np.random.default_rng(1)
         docs, embeddings = make_fixture(rng, 3)
