@@ -27,7 +27,7 @@ from .corpus import (
     save_queries,
 )
 from .embedder import DEFAULT_DIM, embed_corpus, load_embeddings, save_embeddings
-from .errors import GuardrailError, InvalidParameter
+from .errors import GuardrailError, InvalidParameter, MalformedRecord
 from .integrity import (
     IntegrityLabel,
     LabelReason,
@@ -113,6 +113,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
     queries = load_queries(args.queries)
     embeddings = load_embeddings(args.embeddings)
+    corpus_ids = {d.doc_id for d in docs}
+    unknown = next((d for d in embeddings if d not in corpus_ids), None)
+    if unknown is not None:
+        raise MalformedRecord(
+            args.embeddings, None, f"doc_id {unknown!r} is not in corpus {args.corpus}"
+        )
     index = build_index(docs, embeddings)
     store = load_labels(args.labels) if args.labels else LabelStore()
     index, removed = apply_index_removal(index, store)

@@ -7,6 +7,7 @@ there is no stemming and no BM25 weighting.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
@@ -51,13 +52,12 @@ def search_text(index: InvertedIndex, query: Query, k: int) -> list[Candidate]:
     for token in set(tokenize(query.text)):
         for doc_id in index.postings.get(token, ()):
             overlap[doc_id] = overlap.get(doc_id, 0) + 1
-    scored = [
+    scored = (
         (doc_id, count / math.sqrt(index.doc_lengths[doc_id]))
         for doc_id, count in overlap.items()
         if index.doc_lengths[doc_id] > 0
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    )
     return [
         Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.TEXT)
-        for doc_id, score in scored[:k]
+        for doc_id, score in heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
     ]

@@ -4,6 +4,24 @@ Desk scale (up to ~100k documents) makes an exact scan both fast enough and
 exactly reproducible, which golden tests rely on. The index is immutable for
 query purposes; remove_many() returns a new value (copy-on-write), so concurrent
 top-k calls on one index value are safe.
+
+Everything a query would otherwise rebuild is built once, in Index.__init__:
+rows are stored grouped by source type, each type one contiguous block in
+corpus order, and each doc gets an int rank in doc_id string order. A top-k
+call scores one block with a single matrix-vector product, takes every row
+scoring at least the k-th score (np.partition; tie-complete, so all rows tied
+at the boundary reach the final sort), and orders only that pool by
+(-score, rank). remove_many() slices the blocks, ranks and ids with one keep
+mask; ranks keep their relative order, so nothing is re-sorted.
+
+Scores are bit-exact with a per-source brute-force scan, and must stay so.
+OpenBLAS's gemv sums the last rows of a matrix in a different order, so a
+row's score bits depend on the shape of the matrix it is scanned in, not on
+the row alone. A filtered call therefore scans exactly its source type's
+live rows in corpus order (a view of the block: a view and a copy of the same
+rows give the same bits), and an unfiltered call scans all rows in corpus
+order. Scanning a block in another order, or batching queries into one
+matrix-matrix product, changes score bits.
 """
 
 from __future__ import annotations
@@ -15,7 +33,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, SourceType
-from .errors import DimensionMismatch, InvalidParameter, MissingEmbedding
+from .errors import DimensionMismatch, DuplicateId, InvalidParameter, MissingEmbedding
+
+_SOURCE_TYPES = tuple(SourceType)
 
 
 class CandidateSource(str, Enum):
@@ -31,7 +51,7 @@ class Candidate:
 
 
 class Index:
-    """Ordered (doc_id, embedding, source_type) entries."""
+    """(doc_id, embedding, source_type) entries, one contiguous block of rows per source type."""
 
     def __init__(
         self,
@@ -43,10 +63,41 @@ class Index:
             raise DimensionMismatch("embedding matrix must be 2-D")
         if not (len(doc_ids) == matrix.shape[0] == len(source_types)):
             raise ValueError("doc_ids, matrix rows, and source_types must align")
-        self._doc_ids = list(doc_ids)
-        self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        self._source_types = list(source_types)
-        self._positions = {doc_id: i for i, doc_id in enumerate(self._doc_ids)}
+        ids = list(doc_ids)
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            raise DuplicateId(next(d for d in ids if d in seen or seen.add(d)))
+        matrix = np.asarray(matrix, dtype=np.float64)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            bad = ids[int(np.argmin(finite))]
+            raise InvalidParameter(f"non-finite embedding for doc_id {bad!r}")
+        codes = np.array([_SOURCE_TYPES.index(st) for st in source_types], dtype=np.intp)
+        grouped = np.argsort(codes, kind="stable")
+        ranks = np.empty(len(ids), dtype=np.intp)
+        ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        self._fill(
+            np.array(ids, dtype=object)[grouped],
+            matrix[grouped],
+            ranks[grouped],
+            grouped,
+            np.bincount(codes, minlength=len(_SOURCE_TYPES)),
+        )
+
+    def _fill(self, ids, matrix, ranks, corpus_pos, counts) -> None:
+        """Store rows grouped by source type: counts[i] rows of _SOURCE_TYPES[i], type after type."""
+        self._ids = ids  # object array, doc_id per row
+        self._matrix = matrix
+        self._ranks = ranks  # position of the doc_id in sorted doc_id order
+        self._corpus_pos = corpus_pos  # position in the corpus the index was built from
+        self._positions = dict(zip(ids.tolist(), range(len(ids))))
+        ends = np.cumsum(counts).tolist()
+        self._blocks = {
+            st: slice(end - int(n), end)
+            for st, n, end in zip(_SOURCE_TYPES, counts, ends)
+            if n
+        }
+        self._present = frozenset(self._blocks)
 
     @property
     def dim(self) -> int:
@@ -54,13 +105,13 @@ class Index:
 
     @property
     def doc_ids(self) -> list[str]:
-        return list(self._doc_ids)
+        return self._ids[np.argsort(self._corpus_pos)].tolist()
 
     def source_types_present(self) -> frozenset[SourceType]:
-        return frozenset(self._source_types)
+        return self._present
 
     def __len__(self) -> int:
-        return len(self._doc_ids)
+        return len(self._ids)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._positions
@@ -72,15 +123,24 @@ class Index:
         so the operation is idempotent; with nothing to remove the same
         index is returned.
         """
-        targets = {d for d in doc_ids if d in self._positions}
-        if not targets:
+        rows = [self._positions[d] for d in set(doc_ids) if d in self._positions]
+        if not rows:
             return self
-        keep = [i for i, d in enumerate(self._doc_ids) if d not in targets]
-        return Index(
-            [self._doc_ids[i] for i in keep],
+        keep = np.ones(len(self), dtype=bool)
+        keep[rows] = False
+        counts = [
+            np.count_nonzero(keep[self._blocks[st]]) if st in self._blocks else 0
+            for st in _SOURCE_TYPES
+        ]
+        index = Index.__new__(Index)
+        index._fill(
+            self._ids[keep],
             self._matrix[keep],
-            [self._source_types[i] for i in keep],
+            self._ranks[keep],
+            self._corpus_pos[keep],
+            counts,
         )
+        return index
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -110,7 +170,7 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     if matrix.size:
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        matrix = matrix / norms
+        matrix /= norms
     return Index([d.doc_id for d in docs], matrix, [d.source_type for d in docs])
 
 
@@ -126,29 +186,31 @@ def topk(
     q = np.asarray(query_vec, dtype=np.float64)
     if q.ndim != 1 or q.size != index.dim:
         raise DimensionMismatch(f"query dim {q.shape} vs index dim {index.dim}")
-    if len(index) == 0:
-        return []
+    if not np.isfinite(q).all():
+        raise InvalidParameter("query vector has a non-finite component")
 
     if source_filter is None:
-        rows = np.arange(len(index))
+        rows = np.argsort(index._corpus_pos)  # every row, gathered in corpus order
+    elif source_filter in index._blocks:
+        rows = index._blocks[source_filter]  # a slice: views of the block
     else:
-        rows = np.array(
-            [i for i, st in enumerate(index._source_types) if st is source_filter],
-            dtype=np.intp,
-        )
-        if rows.size == 0:
-            return []
+        return []
+    block, ranks, ids = index._matrix[rows], index._ranks[rows], index._ids[rows]
 
+    n = len(ids)
     qnorm = np.linalg.norm(q)
     if qnorm == 0.0:
-        scores = np.zeros(rows.size, dtype=np.float64)
+        scores = np.zeros(n, dtype=np.float64)
     else:
         # Entries are stored unit-norm, so the dot product is the cosine.
-        scores = np.clip(index._matrix[rows] @ (q / qnorm), -1.0, 1.0)
+        scores = np.clip(block @ (q / qnorm), -1.0, 1.0)
 
-    ids = np.array([index._doc_ids[i] for i in rows])
-    order = np.lexsort((ids, -scores))[: min(k, rows.size)]
+    if k < n:
+        pool = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    else:
+        pool = np.arange(n)
+    picked = pool[np.lexsort((ranks[pool], -scores[pool]))[:k]]
     return [
-        Candidate(doc_id=str(ids[j]), raw_score=float(scores[j]), source=CandidateSource.EBR)
-        for j in order
+        Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.EBR)
+        for doc_id, score in zip(ids[picked].tolist(), scores[picked].tolist())
     ]

@@ -269,6 +269,23 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {model_path}: missing field 'beta'")
 
+    def test_search_embeddings_line_for_unknown_doc_names_file_and_id(
+        self, workdir, tmp_path, capsys
+    ):
+        embeddings = tmp_path / "embeddings.tsv"
+        built = (workdir / "index" / "embeddings.tsv").read_text()
+        vector = built.splitlines()[0].split("\t")[1]
+        embeddings.write_text(f"{built}zzz_unknown\t{vector}\n")
+        data = workdir / "data"
+        code, _, err = run(
+            capsys, "search", "--queries", str(data / "queries.jsonl"),
+            "--corpus", str(data / "corpus.jsonl"), "--embeddings", str(embeddings),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {embeddings}: ")
+        assert "'zzz_unknown'" in err
+
     def test_compare_truncated_report_names_file(self, tmp_path, capsys):
         report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
         control, truncated = tmp_path / "control.json", tmp_path / "test.json"

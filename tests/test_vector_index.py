@@ -10,8 +10,13 @@ from ebrguard import (
     SourceType,
     build_index,
 )
-from ebrguard.errors import DimensionMismatch, MissingEmbedding
-from ebrguard.vector_index import Candidate, cosine, topk
+from ebrguard.errors import (
+    DimensionMismatch,
+    DuplicateId,
+    InvalidParameter,
+    MissingEmbedding,
+)
+from ebrguard.vector_index import Candidate, Index, cosine, topk
 from tests.test_corpus import make_doc
 
 
@@ -39,14 +44,19 @@ def make_fixture(rng, n, d=16, dup_every=0):
 
 
 def brute_force_topk(docs, embeddings, qvec, k, source_filter=None):
-    """Independent oracle: cosine every doc one at a time, python-sort, take k."""
-    q = qvec / np.linalg.norm(qvec)
+    """Independent oracle: cosine every doc one at a time, python-sort, take k.
+
+    A zero vector (doc or query) scores 0.0 against everything, as in the index.
+    """
+    qnorm = np.linalg.norm(qvec)
+    q = qvec / qnorm if qnorm else qvec
     scored = []
     for doc in docs:
         if source_filter is not None and doc.source_type is not source_filter:
             continue
         v = embeddings[doc.doc_id]
-        score = float(np.clip(np.dot(v / np.linalg.norm(v), q), -1.0, 1.0))
+        vnorm = np.linalg.norm(v)
+        score = float(np.clip(np.dot(v / vnorm if vnorm else v, q), -1.0, 1.0))
         scored.append((doc.doc_id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
@@ -216,3 +226,120 @@ class TestRemove:
         index = build_index(docs, embeddings)
         index.remove_many(["d0000"])
         assert "d0000" in index
+
+
+class TestValidation:
+    def test_duplicate_doc_id_rejected(self):
+        with pytest.raises(DuplicateId, match="'a'"):
+            Index(["a", "a", "b"], np.eye(3), [SourceType.UN] * 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        matrix = np.eye(3)
+        matrix[1, 2] = bad
+        with pytest.raises(InvalidParameter, match="'b'"):
+            Index(["a", "b", "c"], matrix, [SourceType.UN] * 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        rng = np.random.default_rng(12)
+        docs, embeddings = make_fixture(rng, 6)
+        index = build_index(docs, embeddings)
+        q = random_unit(rng, 16)
+        q[3] = bad
+        for source_filter in (None, SourceType.UN):
+            with pytest.raises(InvalidParameter):
+                topk(index, q, 3, source_filter=source_filter)
+
+
+def dyadic(rng, d, nnz):
+    """A {-1, 0, 1} vector with nnz nonzeros. With nnz in {1, 4, 16} its norm
+    is 1, 2 or 4, so unit vectors and their dot products are exact in any
+    summation order, and equal vectors always score equal."""
+    v = np.zeros(d)
+    v[rng.choice(d, size=nnz, replace=False)] = rng.choice([-1.0, 1.0], size=nnz)
+    return v
+
+
+@st.composite
+def select_cases(draw):
+    """A corpus, a query and a removal set for the top-k select.
+
+    Doc ids are d<label> for a shuffled label, so doc_id string order differs
+    from corpus order (d10 sorts before d9). Vectors are dyadic, so ties are
+    common, and copies of one doc's vector are planted on others to straddle
+    whatever score ends up k-th.
+    """
+    n = draw(st.integers(1, 30))
+    labels = draw(st.permutations(range(n)))
+    types = draw(st.lists(st.sampled_from(list(SourceType)), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = 16
+    docs = [make_doc(f"d{label}", source_type=t) for label, t in zip(labels, types)]
+    vectors = [dyadic(rng, d, int(rng.choice([0, 1, 4, 4, 16]))) for _ in range(n)]
+    source = draw(st.integers(0, n - 1))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        vectors[i] = vectors[source].copy()
+    embeddings = {doc.doc_id: v for doc, v in zip(docs, vectors)}
+    query = dyadic(rng, d, draw(st.sampled_from([0, 1, 4, 16])))
+    removed = [docs[i].doc_id for i in draw(st.sets(st.integers(0, n - 1), max_size=n))]
+    return docs, embeddings, query, removed
+
+
+class TestSelectOracle:
+    """The partition select against brute_force_topk, for every k from 1 to past the block."""
+
+    @staticmethod
+    def check(index, docs, embeddings, query):
+        for source_filter in (None, *SourceType):
+            oracle = brute_force_topk(docs, embeddings, query, len(docs), source_filter)
+            for k in range(1, len(oracle) + 3):
+                mine = topk(index, query, k, source_filter=source_filter)
+                assert [(c.doc_id, c.raw_score) for c in mine] == oracle[:k]
+
+    @given(select_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_before_and_after_removal(self, case):
+        docs, embeddings, query, removed = case
+        index = build_index(docs, embeddings)
+        self.check(index, docs, embeddings, query)
+        gone = set(removed)
+        self.check(
+            index.remove_many(removed),
+            [doc for doc in docs if doc.doc_id not in gone],
+            embeddings,
+            query,
+        )
+
+
+class TestBitExactScan:
+    """Filtered scores are the product of that source's rows in corpus order.
+
+    OpenBLAS gemv sums the tail rows of a matrix in another order, so scanning
+    a block in a different order, a sub-range of a larger matrix, or a batch
+    of queries at once changes score bits; this pins the scan itself.
+    """
+
+    def test_filtered_scores_equal_per_source_gemv_bits(self):
+        rng = np.random.default_rng(14)
+        n, d = 3000, 64
+        types = [list(SourceType)[i] for i in rng.integers(0, 2, size=n)]
+        docs = [make_doc(f"d{i}", source_type=t) for i, t in enumerate(types)]
+        embeddings = {doc.doc_id: rng.normal(size=d) for doc in docs}
+        index = build_index(docs, embeddings)
+        later = index.remove_many([f"d{i}" for i in rng.choice(n, size=300, replace=False)])
+        for idx in (index, later):
+            live = [doc for doc in docs if doc.doc_id in idx]
+            matrix = np.vstack([embeddings[doc.doc_id] for doc in live])
+            matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+            for _ in range(5):
+                q = rng.normal(size=d)
+                q_unit = q / np.linalg.norm(q)
+                for source_type in SourceType:
+                    rows = [i for i, doc in enumerate(live) if doc.source_type is source_type]
+                    expected = np.clip(matrix[rows] @ q_unit, -1.0, 1.0)
+                    got = {
+                        c.doc_id: c.raw_score
+                        for c in topk(idx, q, len(rows), source_filter=source_type)
+                    }
+                    assert [got[live[i].doc_id] for i in rows] == expected.tolist()
