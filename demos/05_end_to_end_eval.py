@@ -75,7 +75,7 @@ print(render_delta_table(rows))
 
 control_ndcg5 = np.array([ndcg_at_k(s, 5) for s in control_sessions])
 treated_ndcg5 = np.array([ndcg_at_k(s, 5) for s in treatments["threshold customization"]])
-boot = paired_bootstrap(control_ndcg5, treated_ndcg5, seed=0, alternative="greater")
+boot = paired_bootstrap(control_ndcg5, treated_ndcg5, seed=0)
 print(f"\nthreshold customization vs control, NDCG@5: "
       f"mean diff {boot.mean_diff:+.4f}, one-sided bootstrap p = {boot.p_value:.4f}")
 

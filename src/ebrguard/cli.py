@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import evaluation, synth
 from .corpus import (
+    first_repeat,
     load_corpus,
     load_engagement_log,
     load_judgments,
@@ -79,9 +80,8 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
     embeddings = embed_corpus(docs, d=args.dim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    index = build_index(docs, embeddings)
     save_embeddings(embeddings, out / "embeddings.tsv")
-    print(f"indexed {len(index)} docs (dim {index.dim}) into {out}")
+    print(f"indexed {len(docs)} docs (dim {args.dim}) into {out}")
     return 0
 
 
@@ -154,6 +154,9 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pages = read_jsonl(args.results, ResultPage.from_dict)
+    repeated = first_repeat(p.query_id for p in pages)
+    if repeated is not None:
+        raise MalformedRecord(args.results, None, f"query_id {repeated!r} is on more than one line")
     judgments = load_judgments(args.judgments)
     sessions = evaluation.sessions_from_result_pages(pages, judgments)
     report = evaluation.evaluate_run(sessions)

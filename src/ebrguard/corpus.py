@@ -260,13 +260,17 @@ class RelevanceJudgment:
 # JSONL I/O
 
 
+def first_repeat(ids: Iterable[str]) -> str | None:
+    """The first id seen a second time, or None if every id is distinct."""
+    seen: set[str] = set()
+    return next((i for i in ids if i in seen or seen.add(i)), None)
+
+
 def _unique(records: list, ids: Iterable[str]) -> list:
     """records unchanged, or DuplicateId for the first id seen twice."""
-    seen: set[str] = set()
-    for record_id in ids:
-        if record_id in seen:
-            raise DuplicateId(record_id)
-        seen.add(record_id)
+    repeated = first_repeat(ids)
+    if repeated is not None:
+        raise DuplicateId(repeated)
     return records
 
 

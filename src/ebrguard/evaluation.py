@@ -180,13 +180,12 @@ def paired_bootstrap(
     test: Sequence[float],
     n_resamples: int = 10_000,
     seed: int = 0,
-    alternative: str = "greater",
 ) -> BootstrapResult:
-    """Paired bootstrap over per-session metric values.
+    """One-sided paired bootstrap over per-session metric values.
 
     Resamples sessions with replacement and looks at the mean of the paired
-    differences (test - control). alternative="greater" reports the fraction
-    of resampled means <= 0; "two-sided" doubles the smaller tail.
+    differences (test - control). The p-value, for "test is greater", is the
+    fraction of resampled means <= 0.
     """
     c = np.asarray(control, dtype=np.float64)
     t = np.asarray(test, dtype=np.float64)
@@ -196,18 +195,10 @@ def paired_bootstrap(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, diffs.size, size=(n_resamples, diffs.size))
     means = diffs[idx].mean(axis=1)
-    p_le = float(np.mean(means <= 0.0))
-    p_ge = float(np.mean(means >= 0.0))
-    if alternative == "greater":
-        p = p_le
-    elif alternative == "less":
-        p = p_ge
-    elif alternative == "two-sided":
-        p = min(1.0, 2.0 * min(p_le, p_ge))
-    else:
-        raise ValueError(f"unknown alternative {alternative!r}")
     return BootstrapResult(
-        mean_diff=float(diffs.mean()), p_value=p, n_resamples=n_resamples
+        mean_diff=float(diffs.mean()),
+        p_value=float(np.mean(means <= 0.0)),
+        n_resamples=n_resamples,
     )
 
 

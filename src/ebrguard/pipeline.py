@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Query, SegmentKey
+from .corpus import Query, SegmentKey, first_repeat
 from .embedder import Side, embed_text
 from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
@@ -98,11 +98,11 @@ class ResultPage:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultPage":
-        return cls(
-            query_id=d["query_id"],
-            results=tuple(SearchResult.from_dict(r) for r in d["results"]),
-            ebr_triggered=bool(d["ebr_triggered"]),
-        )
+        results = tuple(SearchResult.from_dict(r) for r in d["results"])
+        twice = first_repeat(r.doc_id for r in results)
+        if twice is not None:
+            raise ValueError(f"page {d['query_id']!r} lists doc_id {twice!r} twice")
+        return cls(query_id=d["query_id"], results=results, ebr_triggered=bool(d["ebr_triggered"]))
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,9 @@ def apply_threshold(results: list[SearchResult], threshold: float) -> list[Searc
 _SOURCE_RANK = {CandidateSource.EBR: 0, CandidateSource.TEXT: 1}
 
 
-def merge_candidates(
-    ebr: list[SearchResult], text: list[SearchResult], k: int | None = None
-) -> list[SearchResult]:
+def merge_candidates(ebr: list[SearchResult], text: list[SearchResult]) -> list[SearchResult]:
     """Dedup by doc_id keeping the higher-scored route (EBR on exact ties),
-    then sort by score desc / EBR-first / doc_id asc; truncate to k if given."""
+    then sort by score desc / EBR-first / doc_id asc."""
     best: dict[str, SearchResult] = {}
     for row in list(ebr) + list(text):
         cur = best.get(row.doc_id)
@@ -139,11 +137,10 @@ def merge_candidates(
             and _SOURCE_RANK[row.source] < _SOURCE_RANK[cur.source]
         ):
             best[row.doc_id] = row
-    merged = sorted(
+    return sorted(
         best.values(),
         key=lambda r: (-r.transformed_score, _SOURCE_RANK[r.source], r.doc_id),
     )
-    return merged if k is None else merged[:k]
 
 
 def retrieve(

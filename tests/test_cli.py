@@ -251,6 +251,39 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {results}:2: ")
 
+    def test_evaluate_page_listing_a_doc_twice_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        row = {"doc_id": "a", "transformed_score": 0.5, "source": "EBR", "demoted": False}
+        page = {"query_id": "q0001", "ebr_triggered": True, "results": [row, row]}
+        results = tmp_path / "results.jsonl"
+        results.write_text(
+            '{"query_id": "q0000", "ebr_triggered": true, "results": []}\n'
+            + json.dumps(page) + "\n"
+        )
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}:2: ")
+        assert "'a'" in err
+
+    def test_evaluate_query_on_two_lines_names_file_and_query(self, workdir, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        line = '{"query_id": "q1", "ebr_triggered": true, "results": []}\n'
+        results.write_text(line * 2)
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}: ")
+        assert "'q1'" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_search_model_without_beta_names_file(self, workdir, tmp_path, capsys):
         data = workdir / "data"
         model_path = tmp_path / "model.json"

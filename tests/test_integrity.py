@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ebrguard import (
     CandidateSource,
     LabelStore,
+    SourceType,
     apply_index_removal,
     build_index,
     labels_from_judgments,
@@ -77,9 +78,13 @@ class TestIndexRemoval:
         assert len(cleaned) == 8
         for _ in range(25):
             q = random_unit(rng, 16)
-            hits = {c.doc_id for c in topk(cleaned, q, 10)}
+            hits = {
+                c.doc_id
+                for source_type in SourceType
+                for c in topk(cleaned, q, 10, source_filter=source_type)
+            }
             assert not hits & {"d0002", "d0007"}
-            assert "d0004" in {c.doc_id for c in topk(cleaned, q, 10)}
+            assert "d0004" in hits
 
     def test_empty_store_is_noop(self):
         rng = np.random.default_rng(1)
@@ -87,7 +92,7 @@ class TestIndexRemoval:
         index = build_index(docs, embeddings)
         cleaned, removed = apply_index_removal(index, LabelStore())
         assert removed == 0
-        assert cleaned.doc_ids == index.doc_ids
+        assert cleaned is index
 
     def test_second_application_removes_nothing(self):
         rng = np.random.default_rng(2)
@@ -98,7 +103,7 @@ class TestIndexRemoval:
         once, first = apply_index_removal(index, store)
         twice, second = apply_index_removal(once, store)
         assert (first, second) == (1, 0)
-        assert twice.doc_ids == once.doc_ids
+        assert twice is once
 
 
 def result(doc_id, score=0.5):

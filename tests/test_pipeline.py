@@ -129,10 +129,6 @@ class TestMergeCandidates:
         merged = merge_candidates(ebr, text)
         assert [r.doc_id for r in merged] == ["c", "a", "b"]
 
-    def test_truncation(self):
-        ebr = rows(("a", 0.9), ("b", 0.8), ("c", 0.7))
-        assert len(merge_candidates(ebr, [], 2)) == 2
-
 
 def build_fixture(docs):
     embeddings = embed_corpus(docs, d=32)

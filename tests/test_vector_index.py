@@ -16,7 +16,7 @@ from ebrguard.errors import (
     InvalidParameter,
     MissingEmbedding,
 )
-from ebrguard.vector_index import Candidate, Index, cosine, topk
+from ebrguard.vector_index import Candidate, cosine, topk
 from tests.test_corpus import make_doc
 
 
@@ -43,8 +43,9 @@ def make_fixture(rng, n, d=16, dup_every=0):
     return docs, embeddings
 
 
-def brute_force_topk(docs, embeddings, qvec, k, source_filter=None):
-    """Independent oracle: cosine every doc one at a time, python-sort, take k.
+def brute_force_topk(docs, embeddings, qvec, k, source_filter):
+    """Independent oracle: cosine every doc of one source type one at a time,
+    python-sort, take k.
 
     A zero vector (doc or query) scores 0.0 against everything, as in the index.
     """
@@ -52,7 +53,7 @@ def brute_force_topk(docs, embeddings, qvec, k, source_filter=None):
     q = qvec / qnorm if qnorm else qvec
     scored = []
     for doc in docs:
-        if source_filter is not None and doc.source_type is not source_filter:
+        if doc.source_type is not source_filter:
             continue
         v = embeddings[doc.doc_id]
         vnorm = np.linalg.norm(v)
@@ -111,16 +112,13 @@ class TestBuildIndex:
         index = build_index([], {})
         assert len(index) == 0
 
-    def test_entries_in_doc_order(self):
-        rng = np.random.default_rng(1)
-        docs, embeddings = make_fixture(rng, 3)
-        index = build_index(docs, embeddings)
-        assert index.doc_ids == [d.doc_id for d in docs]
-
     def test_scales_rows_to_unit_norm_and_keeps_zero_rows_zero(self):
         docs = [make_doc("d1"), make_doc("d2")]
         index = build_index(docs, {"d1": np.array([0.0, 0.0, 3.0, 4.0]), "d2": np.zeros(4)})
-        scores = [{c.doc_id: c.raw_score for c in topk(index, e, 2)} for e in np.eye(4)]
+        scores = [
+            {c.doc_id: c.raw_score for c in topk(index, e, 2, source_filter=SourceType.UN)}
+            for e in np.eye(4)
+        ]
         assert [s["d1"] for s in scores] == [0.0, 0.0, 0.6, 0.8]
         assert [s["d2"] for s in scores] == [0.0] * 4
 
@@ -138,15 +136,16 @@ class TestTopk:
         docs, embeddings = make_fixture(rng, 5)
         index = build_index(docs, embeddings)
         q = random_unit(rng, 16)
-        out = topk(index, q, 50)
-        assert len(out) == 5
-        assert_matches_oracle(out, brute_force_topk(docs, embeddings, q, 50))
+        for st_filter, size in ((SourceType.CN, 3), (SourceType.UN, 2)):
+            out = topk(index, q, 50, source_filter=st_filter)
+            assert len(out) == size
+            assert_matches_oracle(out, brute_force_topk(docs, embeddings, q, 50, st_filter))
 
     def test_identical_scores_tie_break_by_doc_id(self):
         docs = [make_doc("zz"), make_doc("aa")]
         v = np.eye(8)[3]
         index = build_index(docs, {"zz": v, "aa": v.copy()})
-        out = topk(index, v, 2)
+        out = topk(index, v, 2, source_filter=SourceType.UN)
         assert [c.doc_id for c in out] == ["aa", "zz"]
 
     def test_matches_brute_force_oracle_on_200_docs(self):
@@ -155,8 +154,11 @@ class TestTopk:
         index = build_index(docs, embeddings)
         for trial in range(20):
             q = random_unit(rng, 16)
-            mine = topk(index, q, 10)
-            assert_matches_oracle(mine, brute_force_topk(docs, embeddings, q, 10))
+            for st_filter in SourceType:
+                mine = topk(index, q, 10, source_filter=st_filter)
+                assert_matches_oracle(
+                    mine, brute_force_topk(docs, embeddings, q, 10, st_filter)
+                )
 
     def test_source_filter(self):
         rng = np.random.default_rng(4)
@@ -173,7 +175,9 @@ class TestTopk:
         rng = np.random.default_rng(5)
         docs, embeddings = make_fixture(rng, 4)
         index = build_index(docs, embeddings)
-        out = topk(index, random_unit(rng, 16), 2)
+        q = random_unit(rng, 16)
+        out = [c for st_filter in SourceType for c in topk(index, q, 2, source_filter=st_filter)]
+        assert len(out) == 4
         assert all(isinstance(c, Candidate) for c in out)
         assert all(c.source is CandidateSource.EBR for c in out)
 
@@ -182,9 +186,19 @@ class TestTopk:
         docs, embeddings = make_fixture(rng, 4)
         index = build_index(docs, embeddings)
         with pytest.raises(ValueError):
-            topk(index, random_unit(rng, 16), 0)
+            topk(index, random_unit(rng, 16), 0, source_filter=SourceType.UN)
         with pytest.raises(DimensionMismatch):
-            topk(index, random_unit(rng, 8), 3)
+            topk(index, random_unit(rng, 8), 3, source_filter=SourceType.UN)
+
+    def test_source_type_is_required(self):
+        rng = np.random.default_rng(6)
+        docs, embeddings = make_fixture(rng, 4)
+        index = build_index(docs, embeddings)
+        q = random_unit(rng, 16)
+        with pytest.raises(TypeError):
+            topk(index, q, 3)
+        with pytest.raises(TypeError, match="SourceType"):
+            topk(index, q, 3, source_filter=None)
 
 
 class TestRemove:
@@ -195,7 +209,10 @@ class TestRemove:
         assert "d0003" not in index
         for _ in range(10):
             q = random_unit(rng, 16)
-            assert all(c.doc_id != "d0003" for c in topk(index, q, 30))
+            for st_filter in SourceType:
+                assert all(
+                    c.doc_id != "d0003" for c in topk(index, q, 30, source_filter=st_filter)
+                )
 
     def test_remove_is_idempotent(self):
         rng = np.random.default_rng(8)
@@ -203,14 +220,14 @@ class TestRemove:
         index = build_index(docs, embeddings)
         once = index.remove_many(["d0001"])
         twice = once.remove_many(["d0001"])
-        assert twice.doc_ids == once.doc_ids
+        assert twice is once
 
     def test_removing_absent_id_is_noop(self):
         rng = np.random.default_rng(9)
         docs, embeddings = make_fixture(rng, 5)
         index = build_index(docs, embeddings)
         same = index.remove_many(["never-there"])
-        assert same.doc_ids == index.doc_ids
+        assert same is index
 
     def test_remove_all_docs_empties_topk(self):
         rng = np.random.default_rng(10)
@@ -218,7 +235,9 @@ class TestRemove:
         index = build_index(docs, embeddings)
         for doc in docs:
             index = index.remove_many([doc.doc_id])
-        assert topk(index, random_unit(rng, 16), 3) == []
+        q = random_unit(rng, 16)
+        for st_filter in SourceType:
+            assert topk(index, q, 3, source_filter=st_filter) == []
 
     def test_original_index_unchanged(self):
         rng = np.random.default_rng(11)
@@ -230,15 +249,17 @@ class TestRemove:
 
 class TestValidation:
     def test_duplicate_doc_id_rejected(self):
+        docs = [make_doc("a"), make_doc("a"), make_doc("b")]
         with pytest.raises(DuplicateId, match="'a'"):
-            Index(["a", "a", "b"], np.eye(3), [SourceType.UN] * 3)
+            build_index(docs, {"a": np.eye(3)[0], "b": np.eye(3)[1]})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
         matrix = np.eye(3)
         matrix[1, 2] = bad
+        docs = [make_doc(doc_id) for doc_id in ("a", "b", "c")]
         with pytest.raises(InvalidParameter, match="'b'"):
-            Index(["a", "b", "c"], matrix, [SourceType.UN] * 3)
+            build_index(docs, dict(zip(("a", "b", "c"), matrix)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):
@@ -247,9 +268,8 @@ class TestValidation:
         index = build_index(docs, embeddings)
         q = random_unit(rng, 16)
         q[3] = bad
-        for source_filter in (None, SourceType.UN):
-            with pytest.raises(InvalidParameter):
-                topk(index, q, 3, source_filter=source_filter)
+        with pytest.raises(InvalidParameter):
+            topk(index, q, 3, source_filter=SourceType.UN)
 
 
 def dyadic(rng, d, nnz):
@@ -291,7 +311,7 @@ class TestSelectOracle:
 
     @staticmethod
     def check(index, docs, embeddings, query):
-        for source_filter in (None, *SourceType):
+        for source_filter in SourceType:
             oracle = brute_force_topk(docs, embeddings, query, len(docs), source_filter)
             for k in range(1, len(oracle) + 3):
                 mine = topk(index, query, k, source_filter=source_filter)
