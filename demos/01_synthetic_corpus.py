@@ -2,8 +2,9 @@
 
 The generator is seeded and fully deterministic: the same spec always
 produces byte-identical files. Every query gets relevant documents at
-grades 3/2/1/1 plus grade-0 failures drawn from a configurable mix, and an
-engagement log whose per-segment score distributions genuinely differ.
+grades 3/2/1/1 plus grade-0 failures drawn from the paper's fixed failure
+mix, and an engagement log whose per-segment score distributions genuinely
+differ.
 """
 
 from collections import Counter, defaultdict
@@ -11,6 +12,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from ebrguard import SyntheticSpec, generate_synthetic
+from ebrguard.synth import DEFAULT_FAILURE_MIX
 
 spec = SyntheticSpec(seed=7, n_docs=1000, n_queries=100)
 corpus, queries, judgments, log = generate_synthetic(spec)
@@ -19,11 +21,11 @@ print(f"{len(corpus)} docs, {len(queries)} queries, "
       f"{len(judgments)} judgments, {len(log)} log records\n")
 
 # The failure mix among grade-0 judgments lands within one count of the
-# configured fractions, thanks to largest-remainder allocation.
+# mix's fractions, thanks to largest-remainder allocation.
 failures = Counter(j.failure_category for j in judgments if j.grade == 0)
 total = sum(failures.values())
 print(f"{'failure category':<20}{'count':>7}{'share':>9}{'target':>9}")
-for category, fraction in spec.failure_mix.items():
+for category, fraction in DEFAULT_FAILURE_MIX.items():
     n = failures[category]
     print(f"{category.value:<20}{n:>7}{n / total:>8.1%}{fraction:>8.0%}")
 

@@ -9,7 +9,6 @@ when known.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -37,7 +36,7 @@ from .integrity import (
     apply_index_removal,
     load_labels,
 )
-from .jsonl import append_jsonl, read_jsonl, write_jsonl
+from .jsonl import append_jsonl, read_jsonl, write_json, write_jsonl
 from .pipeline import RetrievalConfig, ResultPage, SigmoidParams, retrieve, sigmoid_transform
 from .text_retrieval import build_text_index
 from .thresholds import (
@@ -170,9 +169,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     test = evaluation.load_report(args.test)
     delta = evaluation.compare_runs(control, test)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(delta.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.out, delta.to_dict())
     print(evaluation.render_delta_table([(args.label, delta)]))
     return 0
 

@@ -248,10 +248,13 @@ class RelevanceJudgment:
     @classmethod
     def from_dict(cls, d: dict) -> "RelevanceJudgment":
         cat = d.get("failure_category")
+        # A JSON integer only: int() would turn 2.9 into 2 and true into 1.
+        if type(d["grade"]) is not int:
+            raise ValueError(f"grade {d['grade']!r} is not an integer")
         return cls(
             query_id=d["query_id"],
             doc_id=d["doc_id"],
-            grade=int(d["grade"]),
+            grade=d["grade"],
             failure_category=FailureCategory(cat) if cat is not None else None,
         )
 

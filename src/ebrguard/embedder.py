@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document
 from .errors import DimensionMismatch, InvalidParameter, MalformedRecord
 
 DEFAULT_DIM = 64
@@ -79,13 +78,11 @@ def embed_text(text: str, side: Side = Side.QUERY, d: int = DEFAULT_DIM) -> np.n
     return v / np.linalg.norm(v)
 
 
-def embed_document(doc: Document, d: int = DEFAULT_DIM) -> np.ndarray:
-    """Embed a document as embed_text(title + " " + description, DocTower, d)."""
-    return embed_text(doc.title + " " + doc.description, Side.DOC, d)
-
-
 def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
-    return {doc.doc_id: embed_document(doc, d) for doc in docs}
+    """doc_id -> embed_text(title + " " + description, DocTower, d) for each doc."""
+    return {
+        doc.doc_id: embed_text(doc.title + " " + doc.description, Side.DOC, d) for doc in docs
+    }
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:

@@ -13,7 +13,6 @@ integrity failure category.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,11 +22,12 @@ import numpy as np
 
 from .corpus import INTEGRITY_CATEGORIES, FailureCategory, RelevanceJudgment
 from .errors import EmptySessions
-from .jsonl import malformed
+from .jsonl import read_json, write_json
 from .pipeline import ResultPage
 
 NDCG_KS = (1, 3, 5)
 NONREC_DEPTH = 10
+BOOTSTRAP_RESAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,12 @@ class EvalReport:
         )
 
 
-def evaluate_run(sessions: Sequence[EvalSession], ks: Sequence[int] = NDCG_KS) -> EvalReport:
-    """Mean NDCG@k, NONREC rate, and the failure mix among returned grade-0 docs."""
+def evaluate_run(sessions: Sequence[EvalSession]) -> EvalReport:
+    """Mean NDCG@k over NDCG_KS, NONREC rate, and the failure mix among returned grade-0 docs."""
     if not sessions:
         raise EmptySessions("cannot evaluate zero sessions")
     ndcg_at = {
-        k: float(np.mean([ndcg_at_k(s, k) for s in sessions])) for k in ks
+        k: float(np.mean([ndcg_at_k(s, k) for s in sessions])) for k in NDCG_KS
     }
     nonrec_rate = float(np.mean([nonrec_at_10(s) for s in sessions]))
     counts: dict[FailureCategory, int] = {}
@@ -172,20 +172,18 @@ def compare_runs(control: EvalReport, test: EvalReport) -> DeltaReport:
 class BootstrapResult:
     mean_diff: float
     p_value: float
-    n_resamples: int
 
 
 def paired_bootstrap(
     control: Sequence[float],
     test: Sequence[float],
-    n_resamples: int = 10_000,
     seed: int = 0,
 ) -> BootstrapResult:
     """One-sided paired bootstrap over per-session metric values.
 
-    Resamples sessions with replacement and looks at the mean of the paired
-    differences (test - control). The p-value, for "test is greater", is the
-    fraction of resampled means <= 0.
+    Resamples sessions with replacement BOOTSTRAP_RESAMPLES times and looks
+    at the mean of the paired differences (test - control). The p-value, for
+    "test is greater", is the fraction of resampled means <= 0.
     """
     c = np.asarray(control, dtype=np.float64)
     t = np.asarray(test, dtype=np.float64)
@@ -193,12 +191,10 @@ def paired_bootstrap(
         raise ValueError("control and test must be equal-length nonempty 1-D arrays")
     diffs = t - c
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diffs.size, size=(n_resamples, diffs.size))
+    idx = rng.integers(0, diffs.size, size=(BOOTSTRAP_RESAMPLES, diffs.size))
     means = diffs[idx].mean(axis=1)
     return BootstrapResult(
-        mean_diff=float(diffs.mean()),
-        p_value=float(np.mean(means <= 0.0)),
-        n_resamples=n_resamples,
+        mean_diff=float(diffs.mean()), p_value=float(np.mean(means <= 0.0))
     )
 
 
@@ -224,18 +220,12 @@ def sessions_from_result_pages(
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, report.to_dict())
 
 
 def load_report(path: str | Path) -> EvalReport:
     """Read report.json; broken JSON or a missing field is a MalformedRecord."""
-    try:
-        return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    # json.JSONDecodeError is a ValueError.
-    except (KeyError, ValueError, TypeError) as exc:
-        raise malformed(path, exc) from exc
+    return read_json(path, EvalReport.from_dict)
 
 
 def render_report(report: EvalReport) -> str:

@@ -1,8 +1,9 @@
-"""The one JSON-lines reader and writer behind every record file.
+"""The one reader and writer behind every JSON file: JSON lines and whole-file JSON.
 
-One JSON object per line, UTF-8, blank lines ignored. Bad input never
-escapes as a raw JSON, key or type error: it becomes a MalformedRecord that
-names the file and the 1-based line.
+JSON-lines files hold one JSON object per line, UTF-8, blank lines ignored.
+Whole-file JSON documents (model.json, report.json) are one indented object.
+Bad input never escapes as a raw JSON, key or type error: it becomes a
+MalformedRecord that names the file and, where known, the 1-based line.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import MalformedRecord
 _T = TypeVar("_T")
 
 
-def malformed(path: str | Path, exc: Exception, line_no: int | None = None) -> MalformedRecord:
+def _malformed(path: str | Path, exc: Exception, line_no: int | None = None) -> MalformedRecord:
     """The MalformedRecord for a parse error or a rejected record at path:line_no.
 
     With no line_no (a whole-file JSON document), a parse error reports the
@@ -49,8 +50,26 @@ def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
                 records.append(from_dict(raw))
             # json.JSONDecodeError is a ValueError.
             except (KeyError, ValueError, TypeError) as exc:
-                raise malformed(path, exc, line_no) from exc
+                raise _malformed(path, exc, line_no) from exc
     return records
+
+
+def read_json(path: str | Path, from_dict: Callable[[dict], _T]) -> _T:
+    """A whole-file JSON document at path, passed to from_dict.
+
+    Broken JSON or a KeyError, ValueError or TypeError from from_dict raises
+    MalformedRecord for the file.
+    """
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    # json.JSONDecodeError is a ValueError.
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _malformed(path, exc) from exc
+
+
+def write_json(path: str | Path, d: dict) -> None:
+    """Write d as one JSON document indented by 2, ending in a newline."""
+    Path(path).write_text(json.dumps(d, indent=2) + "\n", encoding="utf-8")
 
 
 def _encode(d: dict) -> str:

@@ -45,6 +45,7 @@ from .corpus import (
 )
 from .errors import InvalidSpec
 
+# Share of each failure category among the grade-0 judgments: the paper's fixed mix.
 DEFAULT_FAILURE_MIX: dict[FailureCategory, float] = {
     FailureCategory.FUZZY_TEXT_MATCH: 0.53,
     FailureCategory.LOCATION_MISMATCH: 0.18,
@@ -167,9 +168,6 @@ class SyntheticSpec:
     seed: int = 7
     n_docs: int = 1000
     n_queries: int = 100
-    failure_mix: Mapping[FailureCategory, float] = field(
-        default_factory=lambda: dict(DEFAULT_FAILURE_MIX)
-    )
     segment_mix: Mapping[SegmentKey, float] = field(
         default_factory=lambda: dict(DEFAULT_SEGMENT_MIX)
     )
@@ -184,14 +182,13 @@ class SyntheticSpec:
                 f"n_docs={self.n_docs} cannot hold {JUDGED_PER_QUERY} judged docs "
                 f"for each of {self.n_queries} queries"
             )
-        for name, mix in (("failure_mix", self.failure_mix), ("segment_mix", self.segment_mix)):
-            if not mix:
-                raise InvalidSpec(f"{name} is empty")
-            if any(f < 0 for f in mix.values()):
-                raise InvalidSpec(f"{name} has a negative fraction")
-            total = sum(mix.values())
-            if abs(total - 1.0) > _MIX_TOL:
-                raise InvalidSpec(f"{name} sums to {total}, expected 1.0")
+        if not self.segment_mix:
+            raise InvalidSpec("segment_mix is empty")
+        if any(f < 0 for f in self.segment_mix.values()):
+            raise InvalidSpec("segment_mix has a negative fraction")
+        total = sum(self.segment_mix.values())
+        if abs(total - 1.0) > _MIX_TOL:
+            raise InvalidSpec(f"segment_mix sums to {total}, expected 1.0")
 
 
 class SyntheticData(NamedTuple):
@@ -231,16 +228,6 @@ def _beta_score(rng: np.random.Generator, mean: float) -> float:
     return float(np.clip(rng.beta(a, b), 0.0, 1.0))
 
 
-class _DocCounter:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def next_id(self) -> str:
-        doc_id = f"d{self.n:05d}"
-        self.n += 1
-        return doc_id
-
-
 def _query_text(rng: np.random.Generator, intent: Intent, language: str, country: str) -> dict:
     """Pick the lexical ingredients for one query; reused by its planted docs."""
     topic, synonyms = _TOPICS[int(rng.integers(len(_TOPICS)))]
@@ -269,9 +256,7 @@ def _query_text(rng: np.random.Generator, intent: Intent, language: str, country
     }
 
 
-def _relevant_docs(
-    intent: Intent, ing: dict, region: str, alt_city: str, alt_city2: str
-) -> list[tuple[str, str, int]]:
+def _relevant_docs(intent: Intent, ing: dict, region: str) -> list[tuple[str, str, int]]:
     """(title, description, grade) for grades 3, 2, 1, 1.
 
     Token budgets are chosen deliberately: the grade-3 doc is a strong
@@ -313,7 +298,7 @@ def _failure_doc(
     category: FailureCategory,
     ing: dict,
     query: Query,
-    counter: _DocCounter,
+    doc_id: str,
     source_type: SourceType,
 ) -> Document:
     language, country = query.language, query.country
@@ -347,7 +332,7 @@ def _failure_doc(
     elif category is FailureCategory.OFFENSIVE:
         title = f"{ing['topic']} rage rants"
     return Document(
-        doc_id=counter.next_id(),
+        doc_id=doc_id,
         title=title,
         description=description,
         language=language,
@@ -363,7 +348,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     every field of `spec`, seed included."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    counter = _DocCounter()
 
     segments = sorted(spec.segment_mix, key=SegmentKey.sort_key)
     per_segment = largest_remainder(
@@ -371,10 +355,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     )
     profiles = _segment_profiles(segments)
 
-    categories = sorted(spec.failure_mix, key=lambda c: c.value)
+    categories = sorted(DEFAULT_FAILURE_MIX, key=lambda c: c.value)
     failure_total = spec.n_queries * FAILURES_PER_QUERY
     failure_counts = largest_remainder(
-        [spec.failure_mix[c] for c in categories], failure_total
+        [DEFAULT_FAILURE_MIX[c] for c in categories], failure_total
     )
     flat_categories = [
         cat for cat, count in zip(categories, failure_counts) for _ in range(count)
@@ -384,8 +368,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     corpus: list[Document] = []
     queries: list[Query] = []
     judgments: list[RelevanceJudgment] = []
-    query_segment: dict[str, SegmentKey] = {}
-    impression_ids: dict[str, list[tuple[str, int]]] = {}
+    # (query, segment, judged impressions) in query order
+    planned: list[tuple[Query, SegmentKey, list[tuple[str, int | None]]]] = []
 
     fail_cursor = 0
     for segment, count in zip(segments, per_segment):
@@ -404,18 +388,16 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
                 intent=segment.query_intent,
             )
             queries.append(query)
-            query_segment[qid] = segment
 
+            # Two draws no doc uses; dropping them would change every seed's files.
             others = [c for c in _CITIES[segment.user_country] if c != ing["city"]]
-            alt_city = str(rng.choice(others))
-            alt_city2 = str(rng.choice(others))
-            impressions: list[tuple[str, int]] = []
-            relevant = _relevant_docs(
-                segment.query_intent, ing, region, alt_city, alt_city2
-            )
+            rng.choice(others)
+            rng.choice(others)
+            impressions: list[tuple[str, int | None]] = []
+            relevant = _relevant_docs(segment.query_intent, ing, region)
             for slot, (title, description, grade) in enumerate(relevant):
                 doc = Document(
-                    doc_id=counter.next_id(),
+                    doc_id=f"d{len(corpus):05d}",
                     title=title,
                     description=description,
                     language=segment.language,
@@ -436,7 +418,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
                 category = flat_categories[assignment[fail_cursor]]
                 fail_cursor += 1
                 doc = _failure_doc(
-                    rng, category, ing, query, counter, segment.doc_source_type
+                    rng, category, ing, query, f"d{len(corpus):05d}", segment.doc_source_type
                 )
                 corpus.append(doc)
                 judgments.append(
@@ -448,7 +430,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
                     )
                 )
                 impressions.append((doc.doc_id, 0))
-            impression_ids[qid] = impressions
+            planned.append((query, segment, impressions))
 
     # Filler documents pad the corpus to n_docs and serve as distractor
     # impressions; their source types follow the segment mix marginals.
@@ -470,7 +452,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
             region = str(rng.choice(_REGIONS[seg.user_country]))
             city = str(rng.choice(_CITIES[seg.user_country]))
             doc = Document(
-                doc_id=counter.next_id(),
+                doc_id=f"d{len(corpus):05d}",
                 title=f"{region} weekly bulletin",
                 description=f"updates and announcements for {city}",
                 language=seg.language,
@@ -482,18 +464,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
             corpus.append(doc)
             fillers_by_source[source_type].append(doc.doc_id)
 
-    by_source_unjudged: dict[SourceType, list[str]] = {
-        s: list(ids) for s, ids in fillers_by_source.items()
-    }
-
     log: list[EngagementRecord] = []
-    for query in queries:
-        segment = query_segment[query.query_id]
+    for query, segment, impressions in planned:
         engaged_center, junk_center = profiles[segment]
-        impressions: list[tuple[str, int | None]] = [
-            (doc_id, grade) for doc_id, grade in impression_ids[query.query_id]
-        ]
-        pool = by_source_unjudged[segment.doc_source_type]
+        pool = fillers_by_source[segment.doc_source_type]
         if pool:
             take = min(DISTRACTOR_IMPRESSIONS, len(pool))
             picks = rng.choice(len(pool), size=take, replace=False)

@@ -16,10 +16,9 @@ coefficient vector is not unique; predictions are.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -27,28 +26,13 @@ import numpy as np
 
 from .corpus import SegmentKey
 from .errors import DegenerateDesign, EmptyLog, InvalidParameter
-from .jsonl import malformed
+from .jsonl import read_json, write_json
 
 if TYPE_CHECKING:
     from .corpus import EngagementRecord
 
-__all__ = [
-    "SegmentKey",
-    "FeatureEncoding",
-    "FitReport",
-    "ThresholdModel",
-    "percentile_threshold",
-    "segment_targets",
-    "fit",
-    "predict_threshold",
-    "save_model",
-    "load_model",
-]
-
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
-
-_UNKNOWN = "__unknown__"
 
 
 def percentile_threshold(scores: Sequence[float], p: float) -> float:
@@ -131,19 +115,6 @@ class FeatureEncoding:
         # Intercept + (categories + unknown slot) per block.
         return 1 + sum(len(cats) + 1 for _, cats in self._blocks())
 
-    def position(self, feature: str, category: str) -> int:
-        """Column index of a (feature, category) pair; unknown slots included."""
-        pos = 1
-        for name, cats in self._blocks():
-            if name == feature:
-                if category in cats:
-                    return pos + cats.index(category)
-                if category == _UNKNOWN:
-                    return pos + len(cats)
-                raise KeyError(f"{category!r} not in encoding block {feature!r}")
-            pos += len(cats) + 1
-        raise KeyError(f"unknown feature {feature!r}")
-
     def encode(self, segment: SegmentKey) -> np.ndarray:
         """Intercept-plus-one-hot feature vector; unseen categories hit the unknown slot."""
         values = (
@@ -192,6 +163,27 @@ class ThresholdModel:
     p: float
     fit_report: FitReport
 
+    def to_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "beta": [float(b) for b in self.beta],
+            "encoding": self.encoding.to_dict(),
+            "fit_report": asdict(self.fit_report),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ThresholdModel":
+        return cls(
+            beta=np.array(d["beta"], dtype=np.float64),
+            encoding=FeatureEncoding.from_dict(d["encoding"]),
+            p=float(d["p"]),
+            fit_report=FitReport(
+                mse=float(d["fit_report"]["mse"]),
+                max_residual=float(d["fit_report"]["max_residual"]),
+                n_segments=int(d["fit_report"]["n_segments"]),
+            ),
+        )
+
 
 _JITTER = 1e-8
 
@@ -228,33 +220,9 @@ def predict_threshold(model: ThresholdModel, segment: SegmentKey) -> float:
 
 
 def save_model(model: ThresholdModel, path: str | Path) -> None:
-    payload = {
-        "p": model.p,
-        "beta": [float(b) for b in model.beta],
-        "encoding": model.encoding.to_dict(),
-        "fit_report": {
-            "mse": model.fit_report.mse,
-            "max_residual": model.fit_report.max_residual,
-            "n_segments": model.fit_report.n_segments,
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, model.to_dict())
 
 
 def load_model(path: str | Path) -> ThresholdModel:
     """Read model.json; broken JSON or a missing field is a MalformedRecord."""
-    try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ThresholdModel(
-            beta=np.array(d["beta"], dtype=np.float64),
-            encoding=FeatureEncoding.from_dict(d["encoding"]),
-            p=float(d["p"]),
-            fit_report=FitReport(
-                mse=float(d["fit_report"]["mse"]),
-                max_residual=float(d["fit_report"]["max_residual"]),
-                n_segments=int(d["fit_report"]["n_segments"]),
-            ),
-        )
-    # json.JSONDecodeError is a ValueError.
-    except (KeyError, ValueError, TypeError) as exc:
-        raise malformed(path, exc) from exc
+    return read_json(path, ThresholdModel.from_dict)

@@ -48,7 +48,7 @@ class TriggerRule:
     @classmethod
     def from_dict(cls, d: dict) -> "TriggerRule":
         return cls(
-            intent=Intent.parse(d["intent"]),
+            intent=Intent(d["intent"]),
             source_type=SourceType(d["source_type"]),
             action=TriggerAction(d["action"]),
             note=d.get("note", ""),

@@ -40,6 +40,7 @@ from ebrguard import (
 from ebrguard.evaluation import EvalSession
 from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
 from ebrguard.pipeline import SearchResult, apply_threshold, merge_candidates
+from ebrguard.synth import DEFAULT_FAILURE_MIX
 from ebrguard.text_retrieval import search_text
 from ebrguard.thresholds import FeatureEncoding
 from ebrguard.vector_index import topk
@@ -383,13 +384,11 @@ def test_criterion_09_ndcg_golden_values_and_monotone_swaps():
 def test_criterion_10_failure_mix_reproduces_reference_distribution(default_synthetic):
     """Default generation at n_docs=1000: grade-0 category counts match the
     53/18/4/10/10/5 mix within one count per category."""
-    spec = SyntheticSpec()
     counts = {}
     for j in default_synthetic.judgments:
         if j.grade == 0:
             counts[j.failure_category] = counts.get(j.failure_category, 0) + 1
     total = sum(counts.values())
     assert total == 300
-    expected_shares = {cat: f for cat, f in spec.failure_mix.items()}
-    for cat, share in expected_shares.items():
+    for cat, share in DEFAULT_FAILURE_MIX.items():
         assert abs(counts.get(cat, 0) - share * total) <= 1.0

@@ -123,19 +123,25 @@ class TestFitThresholds:
 
 
 class TestSearchEvaluateCompare:
-    def test_full_pipeline(self, workdir, capsys):
+    def test_full_pipeline(self, workdir, tmp_path, capsys):
         data = workdir / "data"
-        results = workdir / "results.jsonl"
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "fit-thresholds", "--log", str(data / "engagement.jsonl"),
+            "--min-support", "5", "--out", str(model_path),
+        )
+        assert code == 0
+        results = tmp_path / "results.jsonl"
         code, _, _ = run(
             capsys, "search", *search_inputs(workdir),
-            "--model", str(workdir / "model.json"),
+            "--model", str(model_path),
             "--k", "10", "--out", str(results),
         )
         assert code == 0
         pages = [json.loads(line) for line in results.read_text().splitlines()]
         assert len(pages) == 30
 
-        report_path = workdir / "report.json"
+        report_path = tmp_path / "report.json"
         code, out, _ = run(
             capsys, "evaluate", "--results", str(results),
             "--judgments", str(data / "judgments.jsonl"),
@@ -283,6 +289,41 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {results}: ")
         assert "'q1'" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("grade", [2.9, True], ids=["float", "bool"])
+    def test_evaluate_grade_not_an_integer_names_file_and_line(
+        self, workdir, tmp_path, capsys, grade
+    ):
+        judgments = tmp_path / "judgments.jsonl"
+        judgments.write_text(
+            '{"query_id": "q0000", "doc_id": "d00000", "grade": 3}\n'
+            + json.dumps({"query_id": "q0000", "doc_id": "d00001", "grade": grade}) + "\n"
+        )
+        results = tmp_path / "results.jsonl"
+        results.write_text('{"query_id": "q0000", "ebr_triggered": true, "results": []}\n')
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results), "--judgments", str(judgments),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {judgments}:2: ")
+        assert "grade" in err
+
+    def test_search_rule_with_unknown_intent_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text(
+            '{"intent": "PersonName", "source_type": "UN", "action": "Disable"}\n'
+            '{"intent": "PersonNmae", "source_type": "UN", "action": "Disable"}\n'
+        )
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--rules", str(rules),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {rules}:2: ")
+        assert "'PersonNmae'" in err
 
     def test_search_model_without_beta_names_file(self, workdir, tmp_path, capsys):
         data = workdir / "data"

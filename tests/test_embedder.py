@@ -10,7 +10,7 @@ from ebrguard import (
     load_embeddings,
     save_embeddings,
 )
-from ebrguard.embedder import Side, embed_document, embed_text
+from ebrguard.embedder import Side, embed_text
 from ebrguard.errors import DimensionMismatch, MalformedRecord
 from ebrguard.vector_index import cosine
 from tests.test_corpus import make_doc
@@ -65,20 +65,25 @@ class TestEmbedText:
 class TestEmbedDocument:
     def test_matches_concatenation_rule(self):
         doc = make_doc("d1", title="a", description="")
-        np.testing.assert_array_equal(embed_document(doc, 64), embed_text("a ", Side.DOC, 64))
+        np.testing.assert_array_equal(embed_corpus([doc], 64)["d1"], embed_text("a ", Side.DOC, 64))
         doc2 = make_doc("d2", title="hiking club", description="weekly walks")
         np.testing.assert_array_equal(
-            embed_document(doc2, 64),
+            embed_corpus([doc2], 64)["d2"],
             embed_text("hiking club weekly walks", Side.DOC, 64),
         )
 
     def test_deterministic(self):
         doc = make_doc("d1")
-        np.testing.assert_array_equal(embed_document(doc, 64), embed_document(doc, 64))
+        np.testing.assert_array_equal(embed_corpus([doc], 64)["d1"], embed_corpus([doc], 64)["d1"])
 
     def test_disjoint_trigrams_near_orthogonal(self):
-        a = embed_document(make_doc("d1", title="maple syrup", description=""), 64)
-        b = embed_document(make_doc("d2", title="quartz dwell", description=""), 64)
+        a, b = embed_corpus(
+            [
+                make_doc("d1", title="maple syrup", description=""),
+                make_doc("d2", title="quartz dwell", description=""),
+            ],
+            64,
+        ).values()
         assert abs(cosine(a, b)) <= 0.2
 
 

@@ -16,7 +16,7 @@ from ebrguard import (
 )
 from ebrguard.corpus import FailureCategory
 from ebrguard.errors import InvalidSpec
-from ebrguard.synth import largest_remainder
+from ebrguard.synth import DEFAULT_FAILURE_MIX, DEFAULT_SEGMENT_MIX, largest_remainder
 
 
 @pytest.fixture(scope="module")
@@ -42,23 +42,19 @@ class TestLargestRemainder:
 
 
 class TestSpecValidation:
-    def test_failure_mix_must_sum_to_one(self):
-        mix = dict(SyntheticSpec().failure_mix)
-        mix[FailureCategory.FUZZY_TEXT_MATCH] -= 0.1
-        with pytest.raises(InvalidSpec):
-            generate_synthetic(SyntheticSpec(failure_mix=mix))
-
     def test_segment_mix_must_sum_to_one(self):
         seg = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
         with pytest.raises(InvalidSpec):
             generate_synthetic(SyntheticSpec(segment_mix={seg: 0.5}))
 
     def test_negative_fraction_rejected(self):
-        mix = dict(SyntheticSpec().failure_mix)
-        mix[FailureCategory.OFFENSIVE] = -0.05
-        mix[FailureCategory.FUZZY_TEXT_MATCH] += 0.10
+        mix = dict(DEFAULT_SEGMENT_MIX)
+        first, second = list(mix)[:2]
+        mix[second] += mix[first] + 0.05
+        mix[first] = -0.05
+        assert abs(sum(mix.values()) - 1.0) < 1e-9
         with pytest.raises(InvalidSpec):
-            generate_synthetic(SyntheticSpec(failure_mix=mix))
+            generate_synthetic(SyntheticSpec(segment_mix=mix))
 
     def test_too_few_docs_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -81,13 +77,12 @@ class TestGeneratedShape:
         assert min(judged.values()) >= 5
 
     def test_failure_mix_counts_within_one(self, default_data):
-        spec = SyntheticSpec()
         fails = Counter(
             j.failure_category for j in default_data.judgments if j.grade == 0
         )
         assert None not in fails
         total = sum(fails.values())
-        for cat, fraction in spec.failure_mix.items():
+        for cat, fraction in DEFAULT_FAILURE_MIX.items():
             assert abs(fails[cat] - fraction * total) <= 1.0
 
     def test_planted_docs_embody_their_category(self, default_data):

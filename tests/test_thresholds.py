@@ -141,20 +141,14 @@ class TestEncoding:
         encoding = FeatureEncoding.from_segments([SEG_A, SEG_B])
         stranger = SegmentKey("ZZ", "en", Intent.GROUP_TOPIC, SourceType.UN)
         x = encoding.encode(stranger)
-        unknown_pos = encoding.position("user_country", "__unknown__")
-        assert x[unknown_pos] == 1.0
+        # the country block starts after the intercept; its unknown slot is last
+        assert x[1 + len(encoding.countries)] == 1.0
         assert x.sum() == 5.0
 
     def test_distinct_segments_get_distinct_vectors(self):
         encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
         xs = [tuple(encoding.encode(s)) for s in (SEG_A, SEG_B, SEG_C)]
         assert len(set(xs)) == 3
-
-    def test_position_lookup_matches_encode(self):
-        encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
-        x = encoding.encode(SEG_B)
-        assert x[encoding.position("user_country", "GB")] == 1.0
-        assert x[encoding.position("doc_source_type", "CN")] == 1.0
 
 
 class TestFit:
