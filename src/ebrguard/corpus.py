@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DuplicateId
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import json_bool, json_number, read_jsonl, write_jsonl
 
 
 class SourceType(str, Enum):
@@ -217,8 +217,8 @@ class EngagementRecord:
         return cls(
             query_id=d["query_id"],
             doc_id=d["doc_id"],
-            raw_score=float(d["raw_score"]),
-            engaged=bool(d["engaged"]),
+            raw_score=json_number(d["raw_score"], "raw_score"),
+            engaged=json_bool(d["engaged"], "engaged"),
             action=EngagementAction(d["action"]),
             segment=SegmentKey.from_dict(d["segment"]),
         )

@@ -8,6 +8,15 @@ similarity, but each side perturbs the per-trigram weight with its own salt,
 so the towers are distinct functions. Empty or all-whitespace text maps to
 the basis vector e_0.
 
+A trigram's bucket and per-side weight depend only on the trigram, the side
+and d, so embed_corpus hashes each distinct trigram once and memoizes the
+pair in a dict that lives for that one call (always DocTower, one d);
+embed_text starts from an empty dict. Nothing is cached across calls, so
+there is no bound to choose and no state shared between callers. The bits
+are those of hashing every occurrence: the weights are the same doubles, and
+they are added into per-bucket Python floats from 0.0 in text order, the
+same IEEE additions as accumulating into a float64 array element by element.
+
 No training happens here; real deployments would swap in model-produced
 vectors via load_embeddings.
 """
@@ -52,36 +61,53 @@ def _basis_vector(d: int) -> np.ndarray:
     return v
 
 
+def _check_dim(d: int) -> None:
+    if d < 8:
+        raise InvalidParameter(f"dimension {d} too small, need d >= 8")
+
+
+def _embed(lowered: str, salt: bytes, d: int, slots: dict[str, tuple[int, float]]) -> np.ndarray:
+    """The unit vector of already-lowercased text; slots memoizes each trigram's
+    (bucket, weight) and must only ever be shared under one (salt, d)."""
+    n_grams = len(lowered) - 2
+    if n_grams <= 0 or not lowered.strip():
+        return _basis_vector(d)
+    acc = [0.0] * d
+    for i in range(n_grams):
+        gram = lowered[i : i + 3]
+        slot = slots.get(gram)
+        if slot is None:
+            data = gram.encode("utf-8")
+            # Map the salted hash to [-1, 1) and use it to spread weights per side.
+            jitter = ((_fnv1a(salt + data) >> 11) / float(1 << 53)) * 2.0 - 1.0
+            slot = slots[gram] = (_fnv1a(data) % d, 1.0 + _WEIGHT_SPREAD * jitter)
+        bucket, weight = slot
+        acc[bucket] += weight
+    v = np.array(acc, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
 def embed_text(text: str, side: Side = Side.QUERY, d: int = DEFAULT_DIM) -> np.ndarray:
     """Embed text into a unit-norm float64 vector of dimension d (d >= 8).
 
     Deterministic across processes and platforms: fixed hash function, fixed
     salt constants, no randomness.
     """
-    if d < 8:
-        raise InvalidParameter(f"dimension {d} too small, need d >= 8")
-    side = Side(side)
-    lowered = text.lower()
-    if not lowered.strip():
-        return _basis_vector(d)
-    n_grams = len(lowered) - 2
-    if n_grams <= 0:
-        return _basis_vector(d)
-    salt = _SIDE_SALT[side.value]
-    v = np.zeros(d, dtype=np.float64)
-    for i in range(n_grams):
-        gram = lowered[i : i + 3].encode("utf-8")
-        bucket = _fnv1a(gram) % d
-        # Map the salted hash to [-1, 1) and use it to spread weights per side.
-        jitter = ((_fnv1a(salt + gram) >> 11) / float(1 << 53)) * 2.0 - 1.0
-        v[bucket] += 1.0 + _WEIGHT_SPREAD * jitter
-    return v / np.linalg.norm(v)
+    _check_dim(d)
+    return _embed(text.lower(), _SIDE_SALT[Side(side).value], d, {})
 
 
 def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
-    """doc_id -> embed_text(title + " " + description, DocTower, d) for each doc."""
+    """doc_id -> embed_text(title + " " + description, DocTower, d) for each doc.
+
+    Each distinct trigram is hashed once per call, not once per occurrence.
+    """
+    _check_dim(d)
+    salt = _SIDE_SALT[Side.DOC.value]
+    slots: dict[str, tuple[int, float]] = {}
     return {
-        doc.doc_id: embed_text(doc.title + " " + doc.description, Side.DOC, d) for doc in docs
+        doc.doc_id: _embed((doc.title + " " + doc.description).lower(), salt, d, slots)
+        for doc in docs
     }
 
 

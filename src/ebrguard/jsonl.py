@@ -30,6 +30,20 @@ def _malformed(path: str | Path, exc: Exception, line_no: int | None = None) -> 
     return MalformedRecord(str(path), line_no, str(exc))
 
 
+def json_number(value, name: str) -> float:
+    """value as a float if it is a JSON number (int or float, not a bool), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
+def json_bool(value, name: str) -> bool:
+    """value if it is a JSON true or false, else TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not true or false")
+    return value
+
+
 def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
     """Every nonblank line of path, parsed as a JSON object and passed to from_dict.
 

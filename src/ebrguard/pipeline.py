@@ -25,6 +25,7 @@ from .corpus import Query, SegmentKey, first_repeat
 from .embedder import Side, embed_text
 from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
+from .jsonl import json_bool, json_number
 from .text_retrieval import InvertedIndex, search_text
 from .thresholds import ThresholdModel, predict_threshold
 from .triggers import RuleSet, TriggerAction
@@ -77,9 +78,9 @@ class SearchResult:
     def from_dict(cls, d: dict) -> "SearchResult":
         return cls(
             doc_id=d["doc_id"],
-            transformed_score=float(d["transformed_score"]),
+            transformed_score=json_number(d["transformed_score"], "transformed_score"),
             source=CandidateSource(d["source"]),
-            demoted=bool(d["demoted"]),
+            demoted=json_bool(d["demoted"], "demoted"),
         )
 
 
@@ -102,7 +103,11 @@ class ResultPage:
         twice = first_repeat(r.doc_id for r in results)
         if twice is not None:
             raise ValueError(f"page {d['query_id']!r} lists doc_id {twice!r} twice")
-        return cls(query_id=d["query_id"], results=results, ebr_triggered=bool(d["ebr_triggered"]))
+        return cls(
+            query_id=d["query_id"],
+            results=results,
+            ebr_triggered=json_bool(d["ebr_triggered"], "ebr_triggered"),
+        )
 
 
 @dataclass(frozen=True)
@@ -184,13 +189,14 @@ def retrieve(
                 if threshold_model is not None
                 else -math.inf
             )
+            cands = topk(index, query_vec, config.k, source_filter=st)
+            # One array call per result list; each element gets the scalar call's bits.
+            scores = sigmoid_transform(
+                np.array([c.raw_score for c in cands], dtype=np.float64), config.sigmoid
+            )
             rows = [
-                SearchResult(
-                    doc_id=c.doc_id,
-                    transformed_score=sigmoid_transform(c.raw_score, config.sigmoid),
-                    source=CandidateSource.EBR,
-                )
-                for c in topk(index, query_vec, config.k, source_filter=st)
+                SearchResult(doc_id=c.doc_id, transformed_score=s, source=CandidateSource.EBR)
+                for c, s in zip(cands, scores.tolist())
             ]
             ebr_rows.extend(apply_threshold(rows, threshold))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import SegmentKey
 from .errors import DegenerateDesign, EmptyLog, InvalidParameter
-from .jsonl import read_json, write_json
+from .jsonl import json_number, read_json, write_json
 
 if TYPE_CHECKING:
     from .corpus import EngagementRecord
@@ -176,7 +176,7 @@ class ThresholdModel:
         return cls(
             beta=np.array(d["beta"], dtype=np.float64),
             encoding=FeatureEncoding.from_dict(d["encoding"]),
-            p=float(d["p"]),
+            p=json_number(d["p"], "p"),
             fit_report=FitReport(
                 mse=float(d["fit_report"]["mse"]),
                 max_residual=float(d["fit_report"]["max_residual"]),

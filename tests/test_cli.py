@@ -309,6 +309,71 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {judgments}:2: ")
         assert "grade" in err
 
+    @pytest.mark.parametrize(
+        ("field", "value"), [("raw_score", True), ("engaged", "no")], ids=["bool-score", "str-flag"]
+    )
+    def test_fit_thresholds_log_field_of_wrong_type_names_file_and_line(
+        self, workdir, tmp_path, capsys, field, value
+    ):
+        lines = (workdir / "data" / "engagement.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        assert record["engaged"] is True
+        record[field] = value
+        log = tmp_path / "engagement.jsonl"
+        log.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+        code, _, err = run(
+            capsys, "fit-thresholds", "--log", str(log), "--min-support", "5",
+            "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {log}:2: ")
+        assert field in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_evaluate_demoted_not_a_bool_names_file_and_line(self, workdir, tmp_path, capsys):
+        row = {"doc_id": "a", "transformed_score": 0.5, "source": "EBR", "demoted": "yes"}
+        results = tmp_path / "results.jsonl"
+        results.write_text(
+            '{"query_id": "q0000", "ebr_triggered": true, "results": []}\n'
+            + json.dumps({"query_id": "q0001", "ebr_triggered": True, "results": [row]}) + "\n"
+        )
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}:2: ")
+        assert "demoted" in err
+
+    def test_search_model_p_not_a_number_names_file(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "fit-thresholds", "--log", str(workdir / "data" / "engagement.jsonl"),
+            "--min-support", "5", "--out", str(model_path),
+        )
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        payload["p"] = "0.9"
+        model_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: p '0.9' is not a number")
+
+    def test_build_index_small_dim_on_empty_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        code, _, err = run(
+            capsys, "build-index", "--corpus", str(corpus), "--dim", "4",
+            "--out", str(tmp_path / "idx"),
+        )
+        assert code == 1
+        assert "dimension 4 too small" in err
+        assert not (tmp_path / "idx").exists()
+
     def test_search_rule_with_unknown_intent_names_file_and_line(
         self, workdir, tmp_path, capsys
     ):

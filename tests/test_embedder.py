@@ -1,5 +1,7 @@
 """The trigram-hash embedder: determinism, norms, and cosine structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ebrguard import (
     save_embeddings,
 )
 from ebrguard.embedder import Side, embed_text
-from ebrguard.errors import DimensionMismatch, MalformedRecord
+from ebrguard.errors import DimensionMismatch, InvalidParameter, MalformedRecord
 from ebrguard.vector_index import cosine
 from tests.test_corpus import make_doc
 
@@ -85,6 +87,67 @@ class TestEmbedDocument:
             64,
         ).values()
         assert abs(cosine(a, b)) <= 0.2
+
+
+# sha256 of the float64 bytes, in doc or query order, for the seed-7
+# 240-doc / 30-query data set. Recorded from the one-hash-per-occurrence
+# embedder that the memoized one replaced, so they pin today's bits.
+CORPUS_SHA256 = {
+    64: "89fa8ed7f5091829d1b0eb393e2783824099549f7f44b769058fd62814c88787",
+    100: "76bf3559e59a6114a4d541d03c954af5ee0b224fba7c990fbe96719c4325e673",
+}
+QUERY_SHA256_D64 = "7c3aedd8cddbc593492aaa4aee847423b8413e73f3ef459f9e9dfe14cb2f7100"
+
+
+def _sha256(vectors) -> str:
+    h = hashlib.sha256()
+    for v in vectors:
+        h.update(v.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBits:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_synthetic(SyntheticSpec(seed=7, n_docs=240, n_queries=30))
+
+    def corpus_sha256(self, data, d):
+        vectors = embed_corpus(data.corpus, d)
+        assert list(vectors) == [doc.doc_id for doc in data.corpus]
+        return _sha256(vectors.values())
+
+    def test_digests_hold_across_dimensions_and_sides(self, data):
+        """Corpus calls at d = 64, 100, 64, 100 in one process, with query
+        embeds between them, each reproduce the recorded bits, so no memo
+        crosses a call, a dimension or a side."""
+        for d in (64, 100, 64, 100):
+            assert self.corpus_sha256(data, d) == CORPUS_SHA256[d]
+            vectors = [embed_text(q.text, Side.QUERY, 64) for q in data.queries]
+            assert _sha256(vectors) == QUERY_SHA256_D64
+
+    @pytest.mark.parametrize(
+        ("title", "description", "d"),
+        [
+            ("", "", 64),
+            ("  ", "\t\n", 64),
+            ("a", "", 64),
+            ("Straße ☃", "漢字テキスト é", 64),
+            ("abcabcabcabc", "abcabc", 64),
+            ("austin hiking club", "a hiking gathering", 8),
+        ],
+        ids=["empty", "whitespace", "a-space", "unicode", "repeated-trigram", "d8"],
+    )
+    def test_corpus_matches_embed_text(self, title, description, d):
+        doc = make_doc("d1", title=title, description=description)
+        got = embed_corpus([doc], d)["d1"]
+        want = embed_text(title + " " + description, Side.DOC, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_dimension_checked_up_front(self):
+        with pytest.raises(InvalidParameter):
+            embed_corpus([], 4)
+        with pytest.raises(InvalidParameter):
+            embed_corpus([make_doc("d1")], 7)
 
 
 class TestEmbeddingFiles:

@@ -310,6 +310,35 @@ class TestRetrieve:
                 ]
                 assert keys == sorted(keys)
 
+    def test_ebr_scores_have_the_scalar_calibration_bits(self):
+        """retrieve calibrates each topk result list with one array call; every
+        EBR row's score equals the scalar sigmoid_transform of its raw score."""
+        from ebrguard import SyntheticSpec, generate_synthetic
+        from ebrguard.embedder import Side, embed_text
+        from ebrguard.vector_index import topk
+
+        data = generate_synthetic(SyntheticSpec(seed=7, n_docs=240, n_queries=30))
+        index = build_index(data.corpus, embed_corpus(data.corpus))
+        text_index = build_text_index(data.corpus)
+        checked = 0
+        for params in (SigmoidParams(), SigmoidParams(a=6.0, b=-3.0)):
+            config = RetrievalConfig(sigmoid=params)
+            for query in data.queries:
+                query_vec = embed_text(query.text, Side.QUERY, index.dim)
+                raw = {
+                    c.doc_id: c.raw_score
+                    for st in index.source_types_present()
+                    for c in topk(index, query_vec, config.k, source_filter=st)
+                }
+                page = retrieve(query, index, text_index, None, NO_RULES, LabelStore(), config)
+                for r in page.results:
+                    if r.source is CandidateSource.EBR:
+                        want = sigmoid_transform(raw[r.doc_id], params)
+                        assert type(r.transformed_score) is float
+                        assert r.transformed_score.hex() == want.hex()
+                        checked += 1
+        assert checked > 300
+
     def test_page_round_trip(self):
         page = ResultPage(
             query_id="q1",
@@ -320,3 +349,25 @@ class TestRetrieve:
             ebr_triggered=True,
         )
         assert ResultPage.from_dict(page.to_dict()) == page
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("transformed_score", True),
+            ("transformed_score", "0.5"),
+            ("demoted", "yes"),
+            ("demoted", 0),
+            ("ebr_triggered", "false"),
+        ],
+    )
+    def test_page_fields_must_have_their_json_type(self, field, value):
+        page = ResultPage("q1", (SearchResult("a", 0.8, CandidateSource.EBR),), True).to_dict()
+        (page if field in page else page["results"][0])[field] = value
+        with pytest.raises(TypeError, match=field):
+            ResultPage.from_dict(page)
+
+    def test_integer_score_reads_as_float(self):
+        row = SearchResult("a", 1.0, CandidateSource.EBR).to_dict()
+        row["transformed_score"] = 1
+        got = SearchResult.from_dict(row).transformed_score
+        assert type(got) is float and got == 1.0
