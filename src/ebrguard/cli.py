@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import evaluation, synth
 from .corpus import (
-    first_repeat,
     load_corpus,
     load_engagement_log,
     load_judgments,
     load_queries,
+    reject_repeats,
     save_corpus,
     save_engagement_log,
     save_judgments,
@@ -153,9 +153,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pages = read_jsonl(args.results, ResultPage.from_dict)
-    repeated = first_repeat(p.query_id for p in pages)
-    if repeated is not None:
-        raise MalformedRecord(args.results, None, f"query_id {repeated!r} is on more than one line")
+    reject_repeats(args.results, (p.query_id for p in pages), "query_id")
     judgments = load_judgments(args.judgments)
     sessions = evaluation.sessions_from_result_pages(pages, judgments)
     report = evaluation.evaluate_run(sessions)

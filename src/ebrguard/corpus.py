@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Hashable, Iterable
 
-from .errors import DuplicateId
-from .jsonl import json_bool, json_number, read_jsonl, write_jsonl
+from .errors import MalformedRecord
+from .jsonl import json_bool, json_int, json_number, json_str, read_jsonl, write_jsonl
 
 
 class SourceType(str, Enum):
@@ -94,9 +94,9 @@ class SegmentKey:
     @classmethod
     def from_dict(cls, d: dict) -> "SegmentKey":
         return cls(
-            user_country=d["user_country"],
-            language=d["language"],
-            query_intent=Intent.parse(d["query_intent"]),
+            user_country=json_str(d["user_country"], "user_country"),
+            language=json_str(d["language"], "language"),
+            query_intent=Intent.parse(json_str(d["query_intent"], "query_intent")),
             doc_source_type=SourceType(d["doc_source_type"]),
         )
 
@@ -139,13 +139,13 @@ class Document:
     @classmethod
     def from_dict(cls, d: dict) -> "Document":
         return cls(
-            doc_id=d["doc_id"],
-            title=d["title"],
-            description=d["description"],
-            language=d["language"],
-            country=d["country"],
-            region=d["region"],
-            topic=d["topic"],
+            doc_id=json_str(d["doc_id"], "doc_id"),
+            title=json_str(d["title"], "title"),
+            description=json_str(d["description"], "description"),
+            language=json_str(d["language"], "language"),
+            country=json_str(d["country"], "country"),
+            region=json_str(d["region"], "region"),
+            topic=json_str(d["topic"], "topic"),
             source_type=SourceType(d["source_type"]),
         )
 
@@ -176,12 +176,12 @@ class Query:
     @classmethod
     def from_dict(cls, d: dict) -> "Query":
         return cls(
-            query_id=d["query_id"],
-            text=d["text"],
-            language=d["language"],
-            country=d["country"],
-            region=d["region"],
-            intent=Intent.parse(d["intent"]),
+            query_id=json_str(d["query_id"], "query_id"),
+            text=json_str(d["text"], "text"),
+            language=json_str(d["language"], "language"),
+            country=json_str(d["country"], "country"),
+            region=json_str(d["region"], "region"),
+            intent=Intent.parse(json_str(d["intent"], "intent")),
         )
 
 
@@ -248,13 +248,10 @@ class RelevanceJudgment:
     @classmethod
     def from_dict(cls, d: dict) -> "RelevanceJudgment":
         cat = d.get("failure_category")
-        # A JSON integer only: int() would turn 2.9 into 2 and true into 1.
-        if type(d["grade"]) is not int:
-            raise ValueError(f"grade {d['grade']!r} is not an integer")
         return cls(
             query_id=d["query_id"],
             doc_id=d["doc_id"],
-            grade=d["grade"],
+            grade=json_int(d["grade"], "grade"),
             failure_category=FailureCategory(cat) if cat is not None else None,
         )
 
@@ -263,24 +260,25 @@ class RelevanceJudgment:
 # JSONL I/O
 
 
-def first_repeat(ids: Iterable[str]) -> str | None:
-    """The first id seen a second time, or None if every id is distinct."""
-    seen: set[str] = set()
-    return next((i for i in ids if i in seen or seen.add(i)), None)
+def first_repeat(keys: Iterable[Hashable]) -> Hashable | None:
+    """The first key seen a second time, or None if every key is distinct."""
+    seen: set[Hashable] = set()
+    return next((k for k in keys if k in seen or seen.add(k)), None)
 
 
-def _unique(records: list, ids: Iterable[str]) -> list:
-    """records unchanged, or DuplicateId for the first id seen twice."""
-    repeated = first_repeat(ids)
+def reject_repeats(path: str | Path, keys: Iterable[Hashable], what: str) -> None:
+    """MalformedRecord for the file at path naming the first key on a second
+    line, as in "doc_id 'g1' is on more than one line"; what names the key."""
+    repeated = first_repeat(keys)
     if repeated is not None:
-        raise DuplicateId(repeated)
-    return records
+        raise MalformedRecord(str(path), None, f"{what} {repeated!r} is on more than one line")
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read corpus.jsonl in file order; duplicate doc_id is an error."""
     docs = read_jsonl(path, Document.from_dict)
-    return _unique(docs, (d.doc_id for d in docs))
+    reject_repeats(path, (d.doc_id for d in docs), "doc_id")
+    return docs
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
@@ -289,7 +287,8 @@ def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
 
 def load_queries(path: str | Path) -> list[Query]:
     queries = read_jsonl(path, Query.from_dict)
-    return _unique(queries, (q.query_id for q in queries))
+    reject_repeats(path, (q.query_id for q in queries), "query_id")
+    return queries
 
 
 def save_queries(queries: Iterable[Query], path: str | Path) -> None:

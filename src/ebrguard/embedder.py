@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, MalformedRecord
+from .errors import InvalidParameter
+from .jsonl import read_lines
 
 DEFAULT_DIM = 64
 
@@ -118,33 +119,30 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     save_embeddings/load_embeddings round trip is bit-exact. All vectors must
     share one dimension, and each doc_id may appear on one line only.
     """
-    path = Path(path)
     out: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedRecord(str(path), line_no, "expected doc_id<TAB>values")
-            doc_id, values = parts
-            if doc_id in out:
-                raise MalformedRecord(str(path), line_no, f"duplicate doc_id {doc_id!r}")
-            try:
-                v = np.array([float(x) for x in values.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedRecord(str(path), line_no, f"bad vector value: {exc}") from exc
-            if not np.all(np.isfinite(v)):
-                raise MalformedRecord(str(path), line_no, "non-finite vector component")
-            if dim is None:
-                dim = v.size
-            elif v.size != dim:
-                raise DimensionMismatch(
-                    f"{path}:{line_no}: dimension {v.size} != {dim}"
-                )
-            out[doc_id] = v
+
+    def parse(line: str) -> None:
+        nonlocal dim
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected doc_id<TAB>values")
+        doc_id, values = parts
+        if doc_id in out:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+        try:
+            v = np.array([float(x) for x in values.split(",")], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"bad vector value: {exc}") from exc
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite vector component")
+        if dim is None:
+            dim = v.size
+        elif v.size != dim:
+            raise ValueError(f"dimension {v.size} != {dim}")
+        out[doc_id] = v
+
+    read_lines(path, parse)
     return out
 
 

@@ -1,7 +1,11 @@
-"""Exception types shared across the package.
+"""The three exception types the package raises on bad input; the CLI exits 1 on each.
 
-All library-raised errors derive from GuardrailError so callers (and the
-CLI) can distinguish validation failures from genuine I/O problems.
+- MalformedRecord: anything read from a file; it names the file and, when
+  one line is at fault, the line.
+- InvalidParameter: a setting or argument out of range (k, a dimension, a
+  query vector's size, p, a sigmoid scale, a synthetic-data spec).
+- GuardrailError: the base of both, raised as itself when in-memory data
+  breaks a rule (a repeated doc_id, a doc with no vector, an empty log).
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ class MalformedRecord(GuardrailError):
     """A JSON record or an embeddings line failed to parse or violates its schema.
 
     line_no is the 1-based line in the file, or None when the error belongs
-    to a whole-file JSON document rather than to one line of it.
+    to the whole file: a whole-file JSON document, or an id repeated across
+    lines.
     """
 
     def __init__(self, path: str, line_no: int | None, detail: str) -> None:
@@ -27,44 +32,4 @@ class MalformedRecord(GuardrailError):
 
 
 class InvalidParameter(GuardrailError, ValueError):
-    """A numeric setting (k, embedding dimension, sigmoid scale, retention p) is out of range."""
-
-
-class DuplicateId(GuardrailError):
-    """The same record id appeared twice in one file or collection."""
-
-    def __init__(self, record_id: str) -> None:
-        self.record_id = record_id
-        super().__init__(f"duplicate id: {record_id!r}")
-
-
-class InvalidSpec(GuardrailError):
-    """A synthetic-data spec is internally inconsistent."""
-
-
-class DimensionMismatch(GuardrailError):
-    """Vectors of different dimensions were combined."""
-
-
-class MissingEmbedding(GuardrailError):
-    """A document has no embedding in the supplied map."""
-
-    def __init__(self, doc_id: str) -> None:
-        self.doc_id = doc_id
-        super().__init__(f"no embedding for doc_id {doc_id!r}")
-
-
-class EmptyLog(GuardrailError):
-    """An engagement log required to be nonempty was empty."""
-
-
-class DegenerateDesign(GuardrailError):
-    """The regression design matrix has too few rows to fit."""
-
-
-class DuplicateRule(GuardrailError):
-    """Two trigger rules target the same (intent, source type) slot."""
-
-
-class EmptySessions(GuardrailError):
-    """Evaluation was asked to aggregate zero sessions."""
+    """A setting or argument is out of range."""

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import INTEGRITY_CATEGORIES, FailureCategory, RelevanceJudgment
-from .errors import EmptySessions
-from .jsonl import read_json, write_json
+from .errors import GuardrailError
+from .jsonl import json_int, json_number, read_json, write_json
 from .pipeline import ResultPage
 
 NDCG_KS = (1, 3, 5)
@@ -94,20 +94,20 @@ class EvalReport:
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
         return cls(
-            ndcg_at={int(k): float(v) for k, v in d["ndcg_at"].items()},
-            nonrec_rate=float(d["nonrec_rate"]),
+            ndcg_at={int(k): json_number(v, f"ndcg_at[{k!r}]") for k, v in d["ndcg_at"].items()},
+            nonrec_rate=json_number(d["nonrec_rate"], "nonrec_rate"),
             failure_breakdown={
-                FailureCategory(c): float(v)
+                FailureCategory(c): json_number(v, f"failure_breakdown[{c!r}]")
                 for c, v in d["failure_breakdown"].items()
             },
-            n_sessions=int(d["n_sessions"]),
+            n_sessions=json_int(d["n_sessions"], "n_sessions"),
         )
 
 
 def evaluate_run(sessions: Sequence[EvalSession]) -> EvalReport:
     """Mean NDCG@k over NDCG_KS, NONREC rate, and the failure mix among returned grade-0 docs."""
     if not sessions:
-        raise EmptySessions("cannot evaluate zero sessions")
+        raise GuardrailError("cannot evaluate zero sessions")
     ndcg_at = {
         k: float(np.mean([ndcg_at_k(s, k) for s in sessions])) for k in NDCG_KS
     }

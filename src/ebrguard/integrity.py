@@ -13,13 +13,11 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .corpus import INTEGRITY_CATEGORIES, RelevanceJudgment
 from .jsonl import read_jsonl, write_jsonl
-
-if TYPE_CHECKING:
-    from .vector_index import Index
+from .vector_index import Index
 
 
 class Severity(str, Enum):
@@ -107,7 +105,7 @@ class LabelStore:
         return doc_id in self._current
 
 
-def apply_index_removal(index: "Index", store: LabelStore) -> tuple["Index", int]:
+def apply_index_removal(index: Index, store: LabelStore) -> tuple[Index, int]:
     """Delete every Removable-labeled entry from the index.
 
     Returns the new index and the count of entries newly removed, so a

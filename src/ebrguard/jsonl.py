@@ -1,9 +1,10 @@
-"""The one reader and writer behind every JSON file: JSON lines and whole-file JSON.
+"""The one line reader behind every record file, and the JSON reader and writer.
 
-JSON-lines files hold one JSON object per line, UTF-8, blank lines ignored.
-Whole-file JSON documents (model.json, report.json) are one indented object.
-Bad input never escapes as a raw JSON, key or type error: it becomes a
-MalformedRecord that names the file and, where known, the 1-based line.
+Record files (the JSON-lines files and embeddings.tsv) hold one record per
+line, UTF-8, blank lines ignored; read_lines is their one loop. Whole-file
+JSON documents (model.json, report.json) are one indented object. Bad input
+never escapes as a raw JSON, key or type error: it becomes a MalformedRecord
+that names the file and, where known, the 1-based line.
 """
 
 from __future__ import annotations
@@ -37,11 +38,44 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
+def json_int(value, name: str) -> int:
+    """value if it is a JSON integer, else TypeError; int() would turn 2.9 into 2, true into 1."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def json_str(value, name: str) -> str:
+    """value if it is a JSON string, else TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} {value!r} is not a string")
+    return value
+
+
 def json_bool(value, name: str) -> bool:
     """value if it is a JSON true or false, else TypeError."""
     if not isinstance(value, bool):
         raise TypeError(f"{name} {value!r} is not true or false")
     return value
+
+
+def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
+    """parse of every nonblank line of path, newline removed, in file order.
+
+    parse signals a bad line with KeyError, ValueError or TypeError; each
+    becomes a MalformedRecord for that line.
+    """
+    records: list[_T] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(line.rstrip("\n")))
+            # json.JSONDecodeError is a ValueError.
+            except (KeyError, ValueError, TypeError) as exc:
+                raise _malformed(path, exc, line_no) from exc
+    return records
 
 
 def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
@@ -51,21 +85,14 @@ def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
     TypeError; each of those, a line that is not valid JSON, and a line whose
     JSON is not an object raise MalformedRecord for that line.
     """
-    records: list[_T] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                if not isinstance(raw, dict):
-                    raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
-                records.append(from_dict(raw))
-            # json.JSONDecodeError is a ValueError.
-            except (KeyError, ValueError, TypeError) as exc:
-                raise _malformed(path, exc, line_no) from exc
-    return records
+
+    def parse(line: str) -> _T:
+        raw = json.loads(line)
+        if not isinstance(raw, dict):
+            raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+        return from_dict(raw)
+
+    return read_lines(path, parse)
 
 
 def read_json(path: str | Path, from_dict: Callable[[dict], _T]) -> _T:

@@ -43,7 +43,7 @@ from .corpus import (
     SegmentKey,
     SourceType,
 )
-from .errors import InvalidSpec
+from .errors import InvalidParameter
 
 # Share of each failure category among the grade-0 judgments: the paper's fixed mix.
 DEFAULT_FAILURE_MIX: dict[FailureCategory, float] = {
@@ -174,21 +174,21 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if self.n_docs < 10:
-            raise InvalidSpec(f"n_docs must be >= 10, got {self.n_docs}")
+            raise InvalidParameter(f"n_docs must be >= 10, got {self.n_docs}")
         if self.n_queries < 1:
-            raise InvalidSpec(f"n_queries must be >= 1, got {self.n_queries}")
+            raise InvalidParameter(f"n_queries must be >= 1, got {self.n_queries}")
         if self.n_docs < JUDGED_PER_QUERY * self.n_queries:
-            raise InvalidSpec(
+            raise InvalidParameter(
                 f"n_docs={self.n_docs} cannot hold {JUDGED_PER_QUERY} judged docs "
                 f"for each of {self.n_queries} queries"
             )
         if not self.segment_mix:
-            raise InvalidSpec("segment_mix is empty")
+            raise InvalidParameter("segment_mix is empty")
         if any(f < 0 for f in self.segment_mix.values()):
-            raise InvalidSpec("segment_mix has a negative fraction")
+            raise InvalidParameter("segment_mix has a negative fraction")
         total = sum(self.segment_mix.values())
         if abs(total - 1.0) > _MIX_TOL:
-            raise InvalidSpec(f"segment_mix sums to {total}, expected 1.0")
+            raise InvalidParameter(f"segment_mix sums to {total}, expected 1.0")
 
 
 class SyntheticData(NamedTuple):

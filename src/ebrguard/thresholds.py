@@ -20,16 +20,13 @@ import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import SegmentKey
-from .errors import DegenerateDesign, EmptyLog, InvalidParameter
-from .jsonl import json_number, read_json, write_json
-
-if TYPE_CHECKING:
-    from .corpus import EngagementRecord
+from .corpus import EngagementRecord, SegmentKey
+from .errors import GuardrailError, InvalidParameter
+from .jsonl import json_int, json_number, read_json, write_json
 
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
@@ -45,13 +42,13 @@ def percentile_threshold(scores: Sequence[float], p: float) -> float:
         raise InvalidParameter(f"p must be in (0, 1], got {p}")
     arr = np.sort(np.asarray(scores, dtype=np.float64))[::-1]
     if arr.size == 0:
-        raise EmptyLog("no scores to take a percentile of")
+        raise GuardrailError("no scores to take a percentile of")
     k = math.ceil(p * arr.size)
     return float(arr[k - 1])
 
 
 def segment_targets(
-    log: Sequence["EngagementRecord"],
+    log: Sequence[EngagementRecord],
     p: float = DEFAULT_P,
     *,
     min_support: int = DEFAULT_MIN_SUPPORT,
@@ -71,7 +68,7 @@ def segment_targets(
     if not 0.0 < p <= 1.0:
         raise InvalidParameter(f"p must be in (0, 1], got {p}")
     if not log:
-        raise EmptyLog("engagement log is empty")
+        raise GuardrailError("engagement log is empty")
     by_segment: dict[SegmentKey, list[float]] = defaultdict(list)
     for rec in log:
         if rec.engaged:
@@ -173,14 +170,15 @@ class ThresholdModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdModel":
+        report = d["fit_report"]
         return cls(
-            beta=np.array(d["beta"], dtype=np.float64),
+            beta=np.array([json_number(b, f"beta[{i}]") for i, b in enumerate(d["beta"])]),
             encoding=FeatureEncoding.from_dict(d["encoding"]),
             p=json_number(d["p"], "p"),
             fit_report=FitReport(
-                mse=float(d["fit_report"]["mse"]),
-                max_residual=float(d["fit_report"]["max_residual"]),
-                n_segments=int(d["fit_report"]["n_segments"]),
+                mse=json_number(report["mse"], "mse"),
+                max_residual=json_number(report["max_residual"], "max_residual"),
+                n_segments=json_int(report["n_segments"], "n_segments"),
             ),
         )
 
@@ -196,7 +194,7 @@ def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdM
     act as statistical regularization.
     """
     if len(targets) < 2:
-        raise DegenerateDesign(f"need >= 2 segments to fit, got {len(targets)}")
+        raise GuardrailError(f"need >= 2 segments to fit, got {len(targets)}")
     segments = sorted(targets, key=SegmentKey.sort_key)
     encoding = FeatureEncoding.from_segments(segments)
     X = np.vstack([encoding.encode(s) for s in segments])

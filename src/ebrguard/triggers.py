@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EngagementRecord, Intent, SegmentKey, SourceType
-from .errors import DuplicateRule
+from .corpus import EngagementRecord, Intent, SegmentKey, SourceType, reject_repeats
+from .errors import GuardrailError
 from .jsonl import read_jsonl, write_jsonl
 from .thresholds import percentile_threshold
 
@@ -64,7 +64,7 @@ class RuleSet:
         for rule in rules:
             key = (rule.intent, rule.source_type, rule.country)
             if key in self._rules:
-                raise DuplicateRule(
+                raise GuardrailError(
                     f"second rule for intent={rule.intent.value}, "
                     f"source_type={rule.source_type.value}, country={rule.country}"
                 )
@@ -175,7 +175,11 @@ def diagnose_segment(
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    return RuleSet(read_jsonl(path, TriggerRule.from_dict))
+    """Read rules.jsonl; a second rule for one slot is an error naming the file."""
+    rules = read_jsonl(path, TriggerRule.from_dict)
+    slots = ((r.intent.value, r.source_type.value, r.country) for r in rules)
+    reject_repeats(path, slots, "rule for (intent, source_type, country)")
+    return RuleSet(rules)
 
 
 def save_rules(rules: RuleSet, path: str | Path) -> None:

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, SourceType, first_repeat
-from .errors import DimensionMismatch, DuplicateId, InvalidParameter, MissingEmbedding
+from .errors import GuardrailError, InvalidParameter
 
 _SOURCE_TYPES = tuple(SourceType)
 
@@ -105,18 +105,6 @@ class Index:
         return Index(self._ids[keep], self._matrix[keep], self._ranks[keep], counts)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity u.v / (|u||v|), clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    denom = np.linalg.norm(u) * np.linalg.norm(v)
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / denom, -1.0, 1.0))
-
-
 def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) -> Index:
     """Assemble an index over docs in corpus order; every doc needs a vector.
 
@@ -126,15 +114,15 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     ids = [d.doc_id for d in docs]
     repeated = first_repeat(ids)
     if repeated is not None:
-        raise DuplicateId(repeated)
+        raise GuardrailError(f"duplicate id: {repeated!r}")
     rows = []
     for doc in docs:
         if doc.doc_id not in embeddings:
-            raise MissingEmbedding(doc.doc_id)
+            raise GuardrailError(f"no embedding for doc_id {doc.doc_id!r}")
         rows.append(np.asarray(embeddings[doc.doc_id], dtype=np.float64))
     dims = {r.size for r in rows}
     if len(dims) > 1:
-        raise DimensionMismatch(f"mixed embedding dimensions: {sorted(dims)}")
+        raise GuardrailError(f"mixed embedding dimensions: {sorted(dims)}")
     dim = dims.pop() if dims else 0
     matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
     finite = np.isfinite(matrix).all(axis=1)
@@ -169,7 +157,7 @@ def topk(
         raise InvalidParameter(f"k must be >= 1, got {k}")
     q = np.asarray(query_vec, dtype=np.float64)
     if q.ndim != 1 or q.size != index.dim:
-        raise DimensionMismatch(f"query dim {q.shape} vs index dim {index.dim}")
+        raise InvalidParameter(f"query dim {q.shape} vs index dim {index.dim}")
     if not np.isfinite(q).all():
         raise InvalidParameter("query vector has a non-finite component")
     if source_filter not in index._blocks:

@@ -310,7 +310,9 @@ class TestBadInputExitsOne:
         assert "grade" in err
 
     @pytest.mark.parametrize(
-        ("field", "value"), [("raw_score", True), ("engaged", "no")], ids=["bool-score", "str-flag"]
+        ("field", "value"),
+        [("raw_score", True), ("engaged", "no"), ("user_country", 5)],
+        ids=["bool-score", "str-flag", "int-country"],
     )
     def test_fit_thresholds_log_field_of_wrong_type_names_file_and_line(
         self, workdir, tmp_path, capsys, field, value
@@ -318,7 +320,7 @@ class TestBadInputExitsOne:
         lines = (workdir / "data" / "engagement.jsonl").read_text().splitlines(keepends=True)
         record = json.loads(lines[1])
         assert record["engaged"] is True
-        record[field] = value
+        (record["segment"] if field == "user_country" else record)[field] = value
         log = tmp_path / "engagement.jsonl"
         log.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
         code, _, err = run(
@@ -362,6 +364,86 @@ class TestBadInputExitsOne:
         )
         assert code == 1
         assert err.startswith(f"error: {model_path}: p '0.9' is not a number")
+
+    @pytest.mark.parametrize(
+        ("where", "value", "message"),
+        [
+            (("beta", 0), "0.61", "beta[0] '0.61' is not a number"),
+            (("beta", 1), True, "beta[1] True is not a number"),
+            (("fit_report", "n_segments"), 2.9, "n_segments 2.9 is not an integer"),
+        ],
+        ids=["str-beta", "bool-beta", "float-count"],
+    )
+    def test_search_model_field_of_wrong_type_names_file(
+        self, workdir, tmp_path, capsys, where, value, message
+    ):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "fit-thresholds", "--log", str(workdir / "data" / "engagement.jsonl"),
+            "--min-support", "5", "--out", str(model_path),
+        )
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        outer, inner = where
+        payload[outer][inner] = value
+        model_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: {message}")
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("nonrec_rate", "0", "nonrec_rate '0' is not a number"),
+            ("n_sessions", 2.9, "n_sessions 2.9 is not an integer"),
+        ],
+        ids=["str-rate", "float-count"],
+    )
+    def test_compare_report_field_of_wrong_type_names_file(
+        self, tmp_path, capsys, field, value, message
+    ):
+        report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
+        control, test = tmp_path / "control.json", tmp_path / "test.json"
+        control.write_text(json.dumps(report))
+        test.write_text(json.dumps({**report, field: value}))
+        code, _, err = run(capsys, "compare", str(control), str(test))
+        assert code == 1
+        assert err.startswith(f"error: {test}: {message}")
+
+    def test_build_index_title_not_a_string_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        lines = (workdir / "data" / "corpus.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["title"] = 5
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(lines[0] + json.dumps(record) + "\n")
+        code, _, err = run(
+            capsys, "build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {corpus}:2: title 5 is not a string")
+
+    @pytest.mark.parametrize("field", ["text", "intent"])
+    def test_search_query_field_not_a_string_names_file_and_line(
+        self, workdir, tmp_path, capsys, field
+    ):
+        data = workdir / "data"
+        lines = (data / "queries.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = 7
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(lines[0] + json.dumps(record) + "\n")
+        code, _, err = run(
+            capsys, "search", "--queries", str(queries), "--corpus", str(data / "corpus.jsonl"),
+            "--embeddings", str(workdir / "index" / "embeddings.tsv"),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {queries}:2: {field} 7 is not a string")
 
     def test_build_index_small_dim_on_empty_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -24,7 +24,7 @@ from ebrguard import (
     save_queries,
 )
 from ebrguard.corpus import Document, FailureCategory, Query, RelevanceJudgment
-from ebrguard.errors import DuplicateId, MalformedRecord
+from ebrguard.errors import MalformedRecord
 from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
 
 
@@ -89,9 +89,10 @@ class TestLoadCorpus:
     def test_duplicate_doc_id_is_an_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         save_corpus([make_doc("g1"), make_doc("g2"), make_doc("g1")], path)
-        with pytest.raises(DuplicateId) as err:
+        with pytest.raises(MalformedRecord) as err:
             load_corpus(path)
-        assert err.value.record_id == "g1"
+        assert err.value.line_no is None
+        assert str(err.value) == f"{path}: doc_id 'g1' is on more than one line"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -159,7 +160,7 @@ class TestRoundTrips:
         save_queries(queries, path)
         assert load_queries(path) == queries
         save_queries([queries[0], queries[0]], path)
-        with pytest.raises(DuplicateId):
+        with pytest.raises(MalformedRecord, match="'q1'"):
             load_queries(path)
 
     def test_judgments_round_trip(self, tmp_path):

@@ -13,9 +13,9 @@ from ebrguard import (
     save_embeddings,
 )
 from ebrguard.embedder import Side, embed_text
-from ebrguard.errors import DimensionMismatch, InvalidParameter, MalformedRecord
-from ebrguard.vector_index import cosine
+from ebrguard.errors import InvalidParameter, MalformedRecord
 from tests.test_corpus import make_doc
+from tests.test_vector_index import cosine
 
 
 class TestEmbedText:
@@ -159,8 +159,9 @@ class TestEmbeddingFiles:
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("d1\t1,0,0\nd2\t1,0\n")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MalformedRecord, match="dimension 2 != 3") as exc:
             load_embeddings(path)
+        assert exc.value.line_no == 2
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "emb.tsv"

@@ -14,7 +14,7 @@ from ebrguard import (
     sessions_from_result_pages,
 )
 from ebrguard.corpus import FailureCategory, RelevanceJudgment
-from ebrguard.errors import EmptySessions
+from ebrguard.errors import GuardrailError
 from ebrguard.evaluation import EvalReport, EvalSession, nonrec_at_10
 from ebrguard.pipeline import ResultPage, SearchResult
 from ebrguard.evaluation import load_report, render_delta_table, render_report, save_report
@@ -171,7 +171,7 @@ class TestEvaluateRun:
         assert fwd.nonrec_rate == rev.nonrec_rate
 
     def test_empty_sessions_rejected(self):
-        with pytest.raises(EmptySessions):
+        with pytest.raises(GuardrailError, match="zero sessions"):
             evaluate_run([])
 
 

@@ -15,7 +15,7 @@ from ebrguard import (
     load_corpus,
 )
 from ebrguard.corpus import FailureCategory
-from ebrguard.errors import InvalidSpec
+from ebrguard.errors import InvalidParameter
 from ebrguard.synth import DEFAULT_FAILURE_MIX, DEFAULT_SEGMENT_MIX, largest_remainder
 
 
@@ -44,7 +44,7 @@ class TestLargestRemainder:
 class TestSpecValidation:
     def test_segment_mix_must_sum_to_one(self):
         seg = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match="sums to 0.5"):
             generate_synthetic(SyntheticSpec(segment_mix={seg: 0.5}))
 
     def test_negative_fraction_rejected(self):
@@ -53,13 +53,13 @@ class TestSpecValidation:
         mix[second] += mix[first] + 0.05
         mix[first] = -0.05
         assert abs(sum(mix.values()) - 1.0) < 1e-9
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match="negative fraction"):
             generate_synthetic(SyntheticSpec(segment_mix=mix))
 
     def test_too_few_docs_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match="n_docs=11"):
             generate_synthetic(SyntheticSpec(n_docs=11, n_queries=2))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match="got 9"):
             generate_synthetic(SyntheticSpec(n_docs=9, n_queries=1))
 
 

@@ -17,7 +17,7 @@ from ebrguard import (
     save_model,
     segment_targets,
 )
-from ebrguard.errors import DegenerateDesign, EmptyLog, InvalidParameter
+from ebrguard.errors import GuardrailError, InvalidParameter
 from ebrguard.thresholds import FeatureEncoding, percentile_threshold
 
 SEG_A = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
@@ -120,7 +120,7 @@ class TestSegmentTargets:
         assert targets[SEG_A] == 0.35
 
     def test_empty_log(self):
-        with pytest.raises(EmptyLog):
+        with pytest.raises(GuardrailError, match="engagement log is empty"):
             segment_targets([], 0.9)
 
     def test_invalid_p(self):
@@ -224,7 +224,7 @@ class TestFit:
                 assert perturbed >= base_mse - 1e-9
 
     def test_single_segment_is_degenerate(self):
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(GuardrailError, match="got 1"):
             fit({SEG_A: 0.5})
 
 

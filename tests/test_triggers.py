@@ -17,7 +17,8 @@ from ebrguard import (
     save_rules,
     segment_targets,
 )
-from ebrguard.errors import DuplicateRule
+from ebrguard.errors import GuardrailError, MalformedRecord
+from ebrguard.jsonl import write_jsonl
 
 SEG = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 
@@ -59,7 +60,7 @@ class TestEvaluateRules:
 
     def test_duplicate_rule_rejected(self):
         rule = TriggerRule(Intent.PERSON_NAME, SourceType.UN, TriggerAction.DISABLE)
-        with pytest.raises(DuplicateRule):
+        with pytest.raises(GuardrailError, match="intent=PersonName, source_type=UN"):
             RuleSet([rule, rule])
 
     def test_rules_file_round_trip(self, tmp_path):
@@ -80,6 +81,17 @@ class TestEvaluateRules:
         save_rules(rules, path)
         loaded = load_rules(path)
         assert {r for r in loaded.rules()} == {r for r in rules.rules()}
+
+    def test_rules_file_with_a_repeated_slot_names_the_file(self, tmp_path):
+        rule = TriggerRule(Intent.PERSON_NAME, SourceType.UN, TriggerAction.DISABLE)
+        path = tmp_path / "rules.jsonl"
+        write_jsonl(path, [rule.to_dict(), rule.to_dict()])
+        with pytest.raises(MalformedRecord) as err:
+            load_rules(path)
+        assert str(err.value) == (
+            f"{path}: rule for (intent, source_type, country) ('PersonName', 'UN', None) "
+            "is on more than one line"
+        )
 
 
 def make_log(scores, engaged=True, segment=SEG):
