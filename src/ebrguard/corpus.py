@@ -215,8 +215,8 @@ class EngagementRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "EngagementRecord":
         return cls(
-            query_id=d["query_id"],
-            doc_id=d["doc_id"],
+            query_id=json_str(d["query_id"], "query_id"),
+            doc_id=json_str(d["doc_id"], "doc_id"),
             raw_score=json_number(d["raw_score"], "raw_score"),
             engaged=json_bool(d["engaged"], "engaged"),
             action=EngagementAction(d["action"]),
@@ -249,8 +249,8 @@ class RelevanceJudgment:
     def from_dict(cls, d: dict) -> "RelevanceJudgment":
         cat = d.get("failure_category")
         return cls(
-            query_id=d["query_id"],
-            doc_id=d["doc_id"],
+            query_id=json_str(d["query_id"], "query_id"),
+            doc_id=json_str(d["doc_id"], "doc_id"),
             grade=json_int(d["grade"], "grade"),
             failure_category=FailureCategory(cat) if cat is not None else None,
         )

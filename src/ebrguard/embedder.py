@@ -11,11 +11,15 @@ the basis vector e_0.
 A trigram's bucket and per-side weight depend only on the trigram, the side
 and d, so embed_corpus hashes each distinct trigram once and memoizes the
 pair in a dict that lives for that one call (always DocTower, one d);
-embed_text starts from an empty dict. Nothing is cached across calls, so
-there is no bound to choose and no state shared between callers. The bits
-are those of hashing every occurrence: the weights are the same doubles, and
-they are added into per-bucket Python floats from 0.0 in text order, the
-same IEEE additions as accumulating into a float64 array element by element.
+embed_text starts from an empty dict. A vector depends only on the
+lowercased text, so embed_corpus also memoizes vectors per distinct text
+within the call and embeds each text once; a repeated text gets a copy of
+the first doc's vector, so no two doc_ids share an array. Nothing is cached
+across calls, so there is no bound to choose and no state shared between
+callers. The bits are those of hashing every occurrence: the weights are
+the same doubles, and they are added into per-bucket Python floats from 0.0
+in text order, the same IEEE additions as accumulating into a float64 array
+element by element.
 
 No training happens here; real deployments would swap in model-produced
 vectors via load_embeddings.
@@ -101,15 +105,23 @@ def embed_text(text: str, side: Side = Side.QUERY, d: int = DEFAULT_DIM) -> np.n
 def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
     """doc_id -> embed_text(title + " " + description, DocTower, d) for each doc.
 
-    Each distinct trigram is hashed once per call, not once per occurrence.
+    Each distinct text is embedded and each distinct trigram hashed once per
+    call. The first doc with a text gets the vector itself and each later one
+    a copy, so every doc_id has its own array and no spare array is allocated.
     """
     _check_dim(d)
     salt = _SIDE_SALT[Side.DOC.value]
     slots: dict[str, tuple[int, float]] = {}
-    return {
-        doc.doc_id: _embed((doc.title + " " + doc.description).lower(), salt, d, slots)
-        for doc in docs
-    }
+    by_text: dict[str, np.ndarray] = {}
+    out: dict[str, np.ndarray] = {}
+    for doc in docs:
+        lowered = (doc.title + " " + doc.description).lower()
+        v = by_text.get(lowered)
+        if v is None:
+            out[doc.doc_id] = by_text[lowered] = _embed(lowered, salt, d, slots)
+        else:
+            out[doc.doc_id] = v.copy()
+    return out
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:

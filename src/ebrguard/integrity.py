@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
 from .corpus import INTEGRITY_CATEGORIES, RelevanceJudgment
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import json_str, read_jsonl, write_jsonl
 from .vector_index import Index
 
 
@@ -60,7 +60,7 @@ class IntegrityLabel:
     @classmethod
     def from_dict(cls, d: dict) -> "IntegrityLabel":
         return cls(
-            doc_id=d["doc_id"],
+            doc_id=json_str(d["doc_id"], "doc_id"),
             severity=Severity(d["severity"]),
             reason=LabelReason(d["reason"]),
             ts=d.get("ts"),

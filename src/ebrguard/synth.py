@@ -28,7 +28,7 @@ Planted structure the rest of the pipeline leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -222,19 +222,34 @@ def _segment_profiles(segments: list[SegmentKey]) -> dict[SegmentKey, tuple[floa
     }
 
 
+_T = TypeVar("_T")
+
+
+def _pick(rng: np.random.Generator, seq: Sequence[_T]) -> _T:
+    """One uniformly drawn element of seq.
+
+    This draws exactly what str(rng.choice(seq)) drew: for a 1-D sequence
+    with no size and no p, Generator.choice takes one rng.integers(len(seq))
+    draw and indexes with it, so both consume the same generator state and
+    give the same element. Indexing directly skips building a numpy array
+    of the sequence on every call.
+    """
+    return seq[int(rng.integers(len(seq)))]
+
+
 def _beta_score(rng: np.random.Generator, mean: float) -> float:
     a = mean * _BETA_CONCENTRATION
     b = (1.0 - mean) * _BETA_CONCENTRATION
-    return float(np.clip(rng.beta(a, b), 0.0, 1.0))
+    return min(max(rng.beta(a, b), 0.0), 1.0)
 
 
 def _query_text(rng: np.random.Generator, intent: Intent, language: str, country: str) -> dict:
     """Pick the lexical ingredients for one query; reused by its planted docs."""
-    topic, synonyms = _TOPICS[int(rng.integers(len(_TOPICS)))]
-    suffix = str(rng.choice(_SUFFIXES[language]))
-    city = str(rng.choice(_CITIES[country]))
-    first = str(rng.choice(_FIRST_NAMES))
-    last = str(rng.choice(_LAST_NAMES))
+    topic, synonyms = _pick(rng, _TOPICS)
+    suffix = _pick(rng, _SUFFIXES[language])
+    city = _pick(rng, _CITIES[country])
+    first = _pick(rng, _FIRST_NAMES)
+    last = _pick(rng, _LAST_NAMES)
     if intent is Intent.GROUP_TOPIC:
         text = f"{topic} {suffix} {city}"
     elif intent is Intent.PERSON_NAME:
@@ -302,27 +317,27 @@ def _failure_doc(
     source_type: SourceType,
 ) -> Document:
     language, country = query.language, query.country
-    region = str(rng.choice(_REGIONS[country]))
+    region = _pick(rng, _REGIONS[country])
     # long descriptions keep junky lexical matches in a low text-score tier
     description = "posts and chatter and hot takes from all over lately"
     title = f"{ing['topic']} oddments"
     if category is FailureCategory.FUZZY_TEXT_MATCH:
         if query.intent in (Intent.PERSON_NAME, Intent.CELEBRITY_CONNECTED, Intent.FRIEND_PHOTO):
-            other_last = str(rng.choice([n for n in _LAST_NAMES if n != ing["last"]]))
+            other_last = _pick(rng, [n for n in _LAST_NAMES if n != ing["last"]])
             title = f"{ing['first']} {other_last} pages"
         else:
-            tail = str(rng.choice(["memes daily", "jokes feed", "rumor mill", "gossip wire"]))
+            tail = _pick(rng, ["memes daily", "jokes feed", "rumor mill", "gossip wire"])
             title = f"{ing['topic']} {tail}"
     elif category is FailureCategory.LOCATION_MISMATCH:
-        country = str(rng.choice([c for c in _CITIES if c != query.country]))
-        region = str(rng.choice(_REGIONS[country]))
-        foreign_city = str(rng.choice(_CITIES[country]))
+        country = _pick(rng, [c for c in _CITIES if c != query.country])
+        region = _pick(rng, _REGIONS[country])
+        foreign_city = _pick(rng, _CITIES[country])
         title = f"{ing['topic']} {ing['suffix']} {foreign_city}"
         description = f"a {ing['topic']} gathering in {region}"
     elif category is FailureCategory.LANGUAGE_MISMATCH:
-        language = str(rng.choice([l for l in _SUFFIXES if l != query.language]))
-        foreign_topic = str(rng.choice(_FOREIGN_TOPICS[language]))
-        foreign_suffix = str(rng.choice(_SUFFIXES[language]))
+        language = _pick(rng, [l for l in _SUFFIXES if l != query.language])
+        foreign_topic = _pick(rng, _FOREIGN_TOPICS[language])
+        foreign_suffix = _pick(rng, _SUFFIXES[language])
         title = f"{foreign_topic} {foreign_suffix}"
         description = "conversa e novidades da semana"
     elif category is FailureCategory.MISINFORMATION:
@@ -375,7 +390,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     for segment, count in zip(segments, per_segment):
         for _ in range(count):
             qid = f"q{len(queries):04d}"
-            region = str(rng.choice(_REGIONS[segment.user_country]))
+            region = _pick(rng, _REGIONS[segment.user_country])
             ing = _query_text(
                 rng, segment.query_intent, segment.language, segment.user_country
             )
@@ -391,8 +406,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
             # Two draws no doc uses; dropping them would change every seed's files.
             others = [c for c in _CITIES[segment.user_country] if c != ing["city"]]
-            rng.choice(others)
-            rng.choice(others)
+            _pick(rng, others)
+            _pick(rng, others)
             impressions: list[tuple[str, int | None]] = []
             relevant = _relevant_docs(segment.query_intent, ing, region)
             for slot, (title, description, grade) in enumerate(relevant):
@@ -447,10 +462,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     fillers_by_source: dict[SourceType, list[str]] = {s: [] for s in SourceType}
     for source_type, count in zip(filler_sources, filler_counts):
         for _ in range(count):
-            seg = segments[int(rng.integers(len(segments)))]
-            topic, _ = _TOPICS[int(rng.integers(len(_TOPICS)))]
-            region = str(rng.choice(_REGIONS[seg.user_country]))
-            city = str(rng.choice(_CITIES[seg.user_country]))
+            seg = _pick(rng, segments)
+            topic, _ = _pick(rng, _TOPICS)
+            region = _pick(rng, _REGIONS[seg.user_country])
+            city = _pick(rng, _CITIES[seg.user_country])
             doc = Document(
                 doc_id=f"d{len(corpus):05d}",
                 title=f"{region} weekly bulletin",

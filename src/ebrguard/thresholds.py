@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import EngagementRecord, SegmentKey
 from .errors import GuardrailError, InvalidParameter
-from .jsonl import json_int, json_number, read_json, write_json
+from .jsonl import json_int, json_number, json_str, read_json, write_json
 
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
@@ -79,6 +79,14 @@ def segment_targets(
         for seg, scores in by_segment.items()
         if len(scores) >= min_support
     }
+
+
+def _str_tuple(value, name: str) -> tuple[str, ...]:
+    """value as a tuple if it is a JSON list of JSON strings, else TypeError;
+    tuple() would split a string into its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} {value!r} is not a list")
+    return tuple(json_str(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -139,10 +147,10 @@ class FeatureEncoding:
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureEncoding":
         return cls(
-            countries=tuple(d["countries"]),
-            languages=tuple(d["languages"]),
-            intents=tuple(d["intents"]),
-            source_types=tuple(d["source_types"]),
+            countries=_str_tuple(d["countries"], "countries"),
+            languages=_str_tuple(d["languages"], "languages"),
+            intents=_str_tuple(d["intents"], "intents"),
+            source_types=_str_tuple(d["source_types"], "source_types"),
         )
 
 
@@ -171,9 +179,15 @@ class ThresholdModel:
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdModel":
         report = d["fit_report"]
+        beta = np.array([json_number(b, f"beta[{i}]") for i, b in enumerate(d["beta"])])
+        encoding = FeatureEncoding.from_dict(d["encoding"])
+        if encoding.length != beta.size:
+            raise ValueError(
+                f"encoding has {encoding.length} features but beta has {beta.size} values"
+            )
         return cls(
-            beta=np.array([json_number(b, f"beta[{i}]") for i, b in enumerate(d["beta"])]),
-            encoding=FeatureEncoding.from_dict(d["encoding"]),
+            beta=beta,
+            encoding=encoding,
             p=json_number(d["p"], "p"),
             fit_report=FitReport(
                 mse=json_number(report["mse"], "mse"),

@@ -55,6 +55,17 @@ def search_inputs(workdir):
     ]
 
 
+def fitted_model(capsys, workdir, tmp_path):
+    """A model.json fitted from the shared engagement log, and its parsed payload."""
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(
+        capsys, "fit-thresholds", "--log", str(workdir / "data" / "engagement.jsonl"),
+        "--min-support", "5", "--out", str(model_path),
+    )
+    assert code == 0
+    return model_path, json.loads(model_path.read_text())
+
+
 class TestGenData:
     def test_writes_all_four_files(self, workdir):
         data = workdir / "data"
@@ -311,8 +322,11 @@ class TestBadInputExitsOne:
 
     @pytest.mark.parametrize(
         ("field", "value"),
-        [("raw_score", True), ("engaged", "no"), ("user_country", 5)],
-        ids=["bool-score", "str-flag", "int-country"],
+        [
+            ("raw_score", True), ("engaged", "no"), ("user_country", 5),
+            ("query_id", 0), ("doc_id", 17),
+        ],
+        ids=["bool-score", "str-flag", "int-country", "int-query-id", "int-doc-id"],
     )
     def test_fit_thresholds_log_field_of_wrong_type_names_file_and_line(
         self, workdir, tmp_path, capsys, field, value
@@ -332,6 +346,77 @@ class TestBadInputExitsOne:
         assert field in err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        ("field", "value"), [("query_id", 0), ("doc_id", 17)], ids=["int-query-id", "int-doc-id"]
+    )
+    def test_evaluate_judgment_id_not_a_string_names_file_and_line(
+        self, workdir, tmp_path, capsys, field, value
+    ):
+        lines = (workdir / "data" / "judgments.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = value
+        judgments = tmp_path / "judgments.jsonl"
+        judgments.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+        results = tmp_path / "results.jsonl"
+        results.write_text('{"query_id": "q0000", "ebr_triggered": true, "results": []}\n')
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results), "--judgments", str(judgments),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {judgments}:2: {field} {value} is not a string")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_search_label_doc_id_not_a_string_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(
+            '{"doc_id": "d00000", "severity": "Removable", "reason": "Misinformation"}\n'
+            '{"doc_id": 5, "severity": "Removable", "reason": "Misinformation"}\n'
+        )
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--labels", str(labels),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {labels}:2: doc_id 5 is not a string")
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("countries", "BRGBMXUS", "countries 'BRGBMXUS' is not a list"),
+            ("intents", ["PersonName", 3], "intents[1] 3 is not a string"),
+        ],
+        ids=["str-countries", "int-intent"],
+    )
+    def test_search_model_encoding_not_a_list_of_strings_names_file(
+        self, workdir, tmp_path, capsys, field, value, message
+    ):
+        model_path, payload = fitted_model(capsys, workdir, tmp_path)
+        payload["encoding"][field] = value
+        model_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: {message}")
+
+    def test_search_model_encoding_longer_than_beta_names_file(self, workdir, tmp_path, capsys):
+        model_path, payload = fitted_model(capsys, workdir, tmp_path)
+        n_beta = len(payload["beta"])
+        payload["encoding"]["countries"].append("ZZ")
+        model_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(
+            f"error: {model_path}: encoding has {n_beta + 1} features but beta has {n_beta} values"
+        )
+
     def test_evaluate_demoted_not_a_bool_names_file_and_line(self, workdir, tmp_path, capsys):
         row = {"doc_id": "a", "transformed_score": 0.5, "source": "EBR", "demoted": "yes"}
         results = tmp_path / "results.jsonl"
@@ -349,13 +434,7 @@ class TestBadInputExitsOne:
         assert "demoted" in err
 
     def test_search_model_p_not_a_number_names_file(self, workdir, tmp_path, capsys):
-        model_path = tmp_path / "model.json"
-        code, _, _ = run(
-            capsys, "fit-thresholds", "--log", str(workdir / "data" / "engagement.jsonl"),
-            "--min-support", "5", "--out", str(model_path),
-        )
-        assert code == 0
-        payload = json.loads(model_path.read_text())
+        model_path, payload = fitted_model(capsys, workdir, tmp_path)
         payload["p"] = "0.9"
         model_path.write_text(json.dumps(payload))
         code, _, err = run(
@@ -377,13 +456,7 @@ class TestBadInputExitsOne:
     def test_search_model_field_of_wrong_type_names_file(
         self, workdir, tmp_path, capsys, where, value, message
     ):
-        model_path = tmp_path / "model.json"
-        code, _, _ = run(
-            capsys, "fit-thresholds", "--log", str(workdir / "data" / "engagement.jsonl"),
-            "--min-support", "5", "--out", str(model_path),
-        )
-        assert code == 0
-        payload = json.loads(model_path.read_text())
+        model_path, payload = fitted_model(capsys, workdir, tmp_path)
         outer, inner = where
         payload[outer][inner] = value
         model_path.write_text(json.dumps(payload))
@@ -473,14 +546,7 @@ class TestBadInputExitsOne:
         assert "'PersonNmae'" in err
 
     def test_search_model_without_beta_names_file(self, workdir, tmp_path, capsys):
-        data = workdir / "data"
-        model_path = tmp_path / "model.json"
-        code, _, _ = run(
-            capsys, "fit-thresholds", "--log", str(data / "engagement.jsonl"),
-            "--min-support", "5", "--out", str(model_path),
-        )
-        assert code == 0
-        payload = json.loads(model_path.read_text())
+        model_path, payload = fitted_model(capsys, workdir, tmp_path)
         del payload["beta"]
         model_path.write_text(json.dumps(payload))
         code, _, err = run(

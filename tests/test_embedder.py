@@ -143,6 +143,22 @@ class TestPinnedBits:
         want = embed_text(title + " " + description, Side.DOC, d)
         assert got.tobytes() == want.tobytes()
 
+    def test_same_text_gets_equal_bits_in_separate_arrays(self):
+        vectors = embed_corpus(
+            [
+                make_doc("d1", title="hiking club", description="weekly walks"),
+                make_doc("d2", title="Hiking Club", description="weekly walks"),
+                make_doc("d3", title="hiking club", description="weekly walks"),
+            ],
+            64,
+        )
+        a, b, c = vectors.values()
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+        before = b.copy()
+        a[:] = 0.0
+        assert b.tobytes() == before.tobytes()
+        assert c.tobytes() == before.tobytes()
+
     def test_dimension_checked_up_front(self):
         with pytest.raises(InvalidParameter):
             embed_corpus([], 4)
