@@ -32,12 +32,12 @@ print("order never changes (a > 0), but scores now live in (0, 1)\n")
 # -- the percentile rule, on a worked example --------------------------------
 # Ten engaged scores between 0.2 and 1.0. Keeping the top 30% means the
 # threshold is the 3rd-largest score: exactly 0.7.
-from ebrguard import EngagementRecord, EngagementAction
+from ebrguard import EngagementRecord
 
 segment = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 scores = [0.2, 0.3, 0.35, 0.4, 0.5, 0.6, 0.65, 0.7, 0.85, 1.0]
 log = [
-    EngagementRecord(f"q{i}", f"d{i}", s, True, EngagementAction.JOIN, segment)
+    EngagementRecord(f"q{i}", f"d{i}", s, True, segment)
     for i, s in enumerate(scores)
 ]
 y30 = segment_targets(log, p=0.30, min_support=10)[segment]

@@ -30,7 +30,7 @@ data = generate_synthetic(SyntheticSpec(seed=7, n_docs=420, n_queries=60))
 # results become Demotable.
 store = labels_from_judgments(data.judgments)
 print(f"label store: {len(store.removable_ids())} removable, "
-      f"{len(store.demotable_ids())} demotable\n")
+      f"{len(store.audit)} labels written\n")
 
 index = build_index(data.corpus, embed_corpus(data.corpus, d=32))
 text_index = build_text_index(data.corpus)

@@ -10,7 +10,6 @@ savers, and GuardrailError; everything else is imported from its module.
 """
 
 from .corpus import (
-    EngagementAction,
     EngagementRecord,
     Intent,
     SegmentKey,

@@ -40,12 +40,6 @@ class Intent(str, Enum):
             return cls.OTHER
 
 
-class EngagementAction(str, Enum):
-    CLICK = "Click"
-    JOIN = "Join"
-    NONE = "None"
-
-
 class FailureCategory(str, Enum):
     """Why a judged result was rated a failure (grade 0)."""
 
@@ -193,14 +187,11 @@ class EngagementRecord:
     doc_id: str
     raw_score: float
     engaged: bool
-    action: EngagementAction
     segment: SegmentKey
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.raw_score <= 1.0:
             raise ValueError(f"raw_score {self.raw_score} outside [-1, 1]")
-        if self.engaged != (self.action != EngagementAction.NONE):
-            raise ValueError("engaged must be true exactly when action is not None")
 
     def to_dict(self) -> dict:
         return {
@@ -208,7 +199,6 @@ class EngagementRecord:
             "doc_id": self.doc_id,
             "raw_score": self.raw_score,
             "engaged": self.engaged,
-            "action": self.action.value,
             "segment": self.segment.to_dict(),
         }
 
@@ -219,7 +209,6 @@ class EngagementRecord:
             doc_id=json_str(d["doc_id"], "doc_id"),
             raw_score=json_number(d["raw_score"], "raw_score"),
             engaged=json_bool(d["engaged"], "engaged"),
-            action=EngagementAction(d["action"]),
             segment=SegmentKey.from_dict(d["segment"]),
         )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
 from .corpus import INTEGRITY_CATEGORIES, RelevanceJudgment
-from .jsonl import json_str, read_jsonl, write_jsonl
+from .jsonl import json_opt_str, json_str, read_jsonl, write_jsonl
 from .vector_index import Index
 
 
@@ -63,7 +63,7 @@ class IntegrityLabel:
             doc_id=json_str(d["doc_id"], "doc_id"),
             severity=Severity(d["severity"]),
             reason=LabelReason(d["reason"]),
-            ts=d.get("ts"),
+            ts=json_opt_str(d.get("ts"), "ts"),
         )
 
 
@@ -90,19 +90,6 @@ class LabelStore:
             for doc_id, lab in self._current.items()
             if lab.severity is Severity.REMOVABLE
         )
-
-    def demotable_ids(self) -> frozenset[str]:
-        return frozenset(
-            doc_id
-            for doc_id, lab in self._current.items()
-            if lab.severity is Severity.DEMOTABLE
-        )
-
-    def __len__(self) -> int:
-        return len(self._current)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._current
 
 
 def apply_index_removal(index: Index, store: LabelStore) -> tuple[Index, int]:

@@ -52,6 +52,11 @@ def json_str(value, name: str) -> str:
     return value
 
 
+def json_opt_str(value, name: str) -> str | None:
+    """value if it is a JSON string or null (None), else TypeError."""
+    return None if value is None else json_str(value, name)
+
+
 def json_bool(value, name: str) -> bool:
     """value if it is a JSON true or false, else TypeError."""
     if not isinstance(value, bool):

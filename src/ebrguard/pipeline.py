@@ -25,7 +25,7 @@ from .corpus import Query, SegmentKey, first_repeat
 from .embedder import Side, embed_text
 from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
-from .jsonl import json_bool, json_number
+from .jsonl import json_bool, json_number, json_str
 from .text_retrieval import InvertedIndex, search_text
 from .thresholds import ThresholdModel, predict_threshold
 from .triggers import RuleSet, TriggerAction
@@ -77,7 +77,7 @@ class SearchResult:
     @classmethod
     def from_dict(cls, d: dict) -> "SearchResult":
         return cls(
-            doc_id=d["doc_id"],
+            doc_id=json_str(d["doc_id"], "doc_id"),
             transformed_score=json_number(d["transformed_score"], "transformed_score"),
             source=CandidateSource(d["source"]),
             demoted=json_bool(d["demoted"], "demoted"),
@@ -104,7 +104,7 @@ class ResultPage:
         if twice is not None:
             raise ValueError(f"page {d['query_id']!r} lists doc_id {twice!r} twice")
         return cls(
-            query_id=d["query_id"],
+            query_id=json_str(d["query_id"], "query_id"),
             results=results,
             ebr_triggered=json_bool(d["ebr_triggered"], "ebr_triggered"),
         )

@@ -34,7 +34,6 @@ import numpy as np
 
 from .corpus import (
     Document,
-    EngagementAction,
     EngagementRecord,
     FailureCategory,
     Intent,
@@ -500,22 +499,12 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
                 else junk_center
             )
             score = _beta_score(rng, mean)
-            action = (
-                (
-                    EngagementAction.JOIN
-                    if segment.doc_source_type is SourceType.UN
-                    else EngagementAction.CLICK
-                )
-                if engaged
-                else EngagementAction.NONE
-            )
             log.append(
                 EngagementRecord(
                     query_id=query.query_id,
                     doc_id=doc_id,
                     raw_score=score,
                     engaged=engaged,
-                    action=action,
                     segment=segment,
                 )
             )

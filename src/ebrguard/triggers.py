@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import EngagementRecord, Intent, SegmentKey, SourceType, reject_repeats
 from .errors import GuardrailError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import json_opt_str, json_str, read_jsonl, write_jsonl
 from .thresholds import percentile_threshold
 
 
@@ -51,8 +51,8 @@ class TriggerRule:
             intent=Intent(d["intent"]),
             source_type=SourceType(d["source_type"]),
             action=TriggerAction(d["action"]),
-            note=d.get("note", ""),
-            country=d.get("country"),
+            note=json_str(d.get("note", ""), "note"),
+            country=json_opt_str(d.get("country"), "country"),
         )
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from ebrguard import (
     CandidateSource,
-    EngagementAction,
     EngagementRecord,
     Intent,
     LabelStore,
@@ -49,7 +48,7 @@ SEG = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 
 def engaged_log(segment, scores):
     return [
-        EngagementRecord(f"q{i}", f"d{i}", s, True, EngagementAction.JOIN, segment)
+        EngagementRecord(f"q{i}", f"d{i}", s, True, segment)
         for i, s in enumerate(scores)
     ]
 

@@ -14,10 +14,12 @@ from ebrguard import (
     embed_corpus,
     labels_from_judgments,
     load_corpus,
+    load_engagement_log,
     load_judgments,
     load_model,
     load_queries,
     retrieve,
+    save_engagement_log,
     save_labels,
 )
 from ebrguard.cli import main
@@ -131,6 +133,33 @@ class TestFitThresholds:
         )
         assert code == 1
         assert "p must be in (0, 1]" in err
+
+    def test_log_with_legacy_action_key_fits_the_same_model(self, workdir, tmp_path, capsys):
+        """Engagement lines that still carry the "action" key earlier versions
+        wrote load as the same records and fit a byte-identical model.json."""
+        records = load_engagement_log(workdir / "data" / "engagement.jsonl")
+        current = tmp_path / "current.jsonl"
+        save_engagement_log(records, current)
+        legacy = tmp_path / "legacy.jsonl"
+        with legacy.open("w", encoding="utf-8") as fh:
+            for rec in records:
+                d = rec.to_dict()
+                segment = d.pop("segment")
+                un = segment["doc_source_type"] == "UN"
+                d["action"] = ("Join" if un else "Click") if rec.engaged else "None"
+                d["segment"] = segment
+                fh.write(json.dumps(d, ensure_ascii=False) + "\n")
+        assert load_engagement_log(legacy) == records
+        models = []
+        for log in (current, legacy):
+            model_path = tmp_path / f"{log.stem}-model.json"
+            code, _, _ = run(
+                capsys, "fit-thresholds", "--log", str(log), "--min-support", "5",
+                "--out", str(model_path),
+            )
+            assert code == 0
+            models.append(model_path.read_bytes())
+        assert models[0] == models[1]
 
 
 class TestSearchEvaluateCompare:
@@ -367,6 +396,31 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {judgments}:2: {field} {value} is not a string")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("query_id", 0), ("query_id", [0]), ("doc_id", 5)],
+        ids=["int-query-id", "list-query-id", "int-doc-id"],
+    )
+    def test_evaluate_result_id_not_a_string_names_file_and_line(
+        self, workdir, tmp_path, capsys, field, value
+    ):
+        row = {"doc_id": "d00001", "transformed_score": 0.5, "source": "EBR", "demoted": False}
+        page = {"query_id": "q0001", "ebr_triggered": True, "results": [row]}
+        (page if field == "query_id" else row)[field] = value
+        results = tmp_path / "results.jsonl"
+        results.write_text(
+            '{"query_id": "q0000", "ebr_triggered": true, "results": []}\n'
+            + json.dumps(page) + "\n"
+        )
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}:2: {field} {value!r} is not a string")
+        assert not (tmp_path / "report.json").exists()
+
     def test_search_label_doc_id_not_a_string_names_file_and_line(
         self, workdir, tmp_path, capsys
     ):
@@ -381,6 +435,19 @@ class TestBadInputExitsOne:
         )
         assert code == 1
         assert err.startswith(f"error: {labels}:2: doc_id 5 is not a string")
+
+    def test_search_label_ts_not_a_string_names_file_and_line(self, workdir, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(
+            '{"doc_id": "d00000", "severity": "Removable", "reason": "Misinformation", "ts": null}\n'
+            '{"doc_id": "d00001", "severity": "Removable", "reason": "Misinformation", "ts": 5}\n'
+        )
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--labels", str(labels),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {labels}:2: ts 5 is not a string")
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
@@ -544,6 +611,27 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {rules}:2: ")
         assert "'PersonNmae'" in err
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("country", 5), ("country", ["US"]), ("note", 5)],
+        ids=["int-country", "list-country", "int-note"],
+    )
+    def test_search_rule_field_not_a_string_names_file_and_line(
+        self, workdir, tmp_path, capsys, field, value
+    ):
+        rule = {"intent": "GroupTopic", "source_type": "UN", "action": "Disable", field: value}
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text(
+            '{"intent": "PersonName", "source_type": "UN", "action": "Disable", "country": null}\n'
+            + json.dumps(rule) + "\n"
+        )
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--rules", str(rules),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {rules}:2: {field} {value!r} is not a string")
 
     def test_search_model_without_beta_names_file(self, workdir, tmp_path, capsys):
         model_path, payload = fitted_model(capsys, workdir, tmp_path)

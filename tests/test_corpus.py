@@ -5,7 +5,6 @@ import json
 import pytest
 
 from ebrguard import (
-    EngagementAction,
     EngagementRecord,
     Intent,
     SegmentKey,
@@ -53,13 +52,7 @@ class TestRecordValidation:
 
     def test_engagement_score_range(self):
         with pytest.raises(ValueError):
-            EngagementRecord("q1", "d1", 1.5, True, EngagementAction.CLICK, SEGMENT)
-
-    def test_engaged_matches_action(self):
-        with pytest.raises(ValueError):
-            EngagementRecord("q1", "d1", 0.5, True, EngagementAction.NONE, SEGMENT)
-        with pytest.raises(ValueError):
-            EngagementRecord("q1", "d1", 0.5, False, EngagementAction.JOIN, SEGMENT)
+            EngagementRecord("q1", "d1", 1.5, True, SEGMENT)
 
     def test_grade_zero_may_carry_category(self):
         RelevanceJudgment("q1", "d1", 0, FailureCategory.OFFENSIVE)
@@ -118,9 +111,7 @@ VALID_LINE = {
     load_corpus: make_doc("a").to_dict(),
     load_queries: Query("q1", "hiking club", "en", "US", "south", Intent.GROUP_TOPIC).to_dict(),
     load_judgments: RelevanceJudgment("q1", "d1", 3).to_dict(),
-    load_engagement_log: EngagementRecord(
-        "q1", "d1", 0.8, True, EngagementAction.JOIN, SEGMENT
-    ).to_dict(),
+    load_engagement_log: EngagementRecord("q1", "d1", 0.8, True, SEGMENT).to_dict(),
     load_labels: IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.OTHER).to_dict(),
     load_rules: TriggerRule(Intent.PERSON_NAME, SourceType.UN, TriggerAction.DISABLE).to_dict(),
 }
@@ -174,8 +165,8 @@ class TestRoundTrips:
 
     def test_engagement_round_trip(self, tmp_path):
         records = [
-            EngagementRecord("q1", "d1", 0.8, True, EngagementAction.JOIN, SEGMENT),
-            EngagementRecord("q1", "d2", -0.1, False, EngagementAction.NONE, SEGMENT),
+            EngagementRecord("q1", "d1", 0.8, True, SEGMENT),
+            EngagementRecord("q1", "d2", -0.1, False, SEGMENT),
         ]
         path = tmp_path / "e.jsonl"
         save_engagement_log(records, path)

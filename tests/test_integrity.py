@@ -35,7 +35,7 @@ class TestLabelStore:
         store.add(IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.MISINFORMATION))
         assert store.lookup("d1").severity is Severity.REMOVABLE
         assert len(store.audit) == 2
-        assert len(store) == 1
+        assert store.removable_ids() == {"d1"}
 
     def test_unlabeled_lookup_absent(self):
         assert LabelStore().lookup("ghost") is None
@@ -60,8 +60,8 @@ class TestLabelStore:
         ]
         store = labels_from_judgments(judgments)
         assert store.removable_ids() == {"d1", "d3"}
-        assert store.demotable_ids() == {"d2"}
-        assert "d4" not in store and "d5" not in store
+        assert store.lookup("d2").severity is Severity.DEMOTABLE
+        assert store.lookup("d4") is None and store.lookup("d5") is None
 
 
 class TestIndexRemoval:

@@ -111,7 +111,7 @@ class TestGeneratedShape:
 
 
 class TestEngagementStructure:
-    def test_scores_in_range_and_action_consistency(self, default_data):
+    def test_scores_in_range(self, default_data):
         for rec in default_data.engagement_log:
             assert -1.0 <= rec.raw_score <= 1.0
 
@@ -138,11 +138,12 @@ class TestEngagementStructure:
 
 # sha256 of every generated record's to_dict(), as sorted-key JSON lines, over
 # corpus, queries, judgments and engagement log in that order. Recorded from the
-# generator that drew with str(rng.choice(seq)) and np.clip, so they pin the
-# stream the files have always had.
+# generator that drew with str(rng.choice(seq)) and np.clip, with each engagement
+# record's former "action" key left out, so they pin the stream the files have
+# always had.
 RECORDS_SHA256 = {
-    (7, 1000, 100): "12fe58a203a76697129247d7327728d00dc347c9e816308290ab7cc24b844db7",
-    (22, 10000, 1000): "abd2324cbc2a0a2f900871b9ced3794ca0c774e2bd778acb25d8d814aefd95cc",
+    (7, 1000, 100): "a4707e57ffa083ce0b68f193cd15a44f5ba03886429e2ef49d125931da9be981",
+    (22, 10000, 1000): "95b49f5b539a451041db67770862ff9c09a4e26aafa8a3f522d05e259d53d07b",
 }
 
 

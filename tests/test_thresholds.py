@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebrguard import (
-    EngagementAction,
     EngagementRecord,
     Intent,
     SegmentKey,
@@ -30,9 +29,8 @@ WORKED_SCORES = [0.2, 0.3, 0.35, 0.4, 0.5, 0.6, 0.65, 0.7, 0.85, 1.0]
 
 
 def records_for(segment, scores, engaged=True):
-    action = EngagementAction.JOIN if engaged else EngagementAction.NONE
     return [
-        EngagementRecord(f"q{i}", f"d{i}", s, engaged, action, segment)
+        EngagementRecord(f"q{i}", f"d{i}", s, engaged, segment)
         for i, s in enumerate(scores)
     ]
 

@@ -4,7 +4,6 @@ import pytest
 
 from ebrguard import (
     DEFAULT_RULES,
-    EngagementAction,
     EngagementRecord,
     Intent,
     RuleSet,
@@ -95,9 +94,8 @@ class TestEvaluateRules:
 
 
 def make_log(scores, engaged=True, segment=SEG):
-    action = EngagementAction.JOIN if engaged else EngagementAction.NONE
     return [
-        EngagementRecord(f"q{i}", f"d{i}", s, engaged, action, segment)
+        EngagementRecord(f"q{i}", f"d{i}", s, engaged, segment)
         for i, s in enumerate(scores)
     ]
 
