@@ -99,7 +99,7 @@ def apply_index_removal(index: Index, store: LabelStore) -> tuple[Index, int]:
     second application reports 0. Idempotent.
     """
     present = [doc_id for doc_id in store.removable_ids() if doc_id in index]
-    return index.remove_many(sorted(present)), len(present)
+    return index.remove_many(present), len(present)
 
 
 _R = TypeVar("_R")

@@ -52,6 +52,20 @@ def json_str(value, name: str) -> str:
     return value
 
 
+def json_list(value, name: str) -> list:
+    """value if it is a JSON list, else TypeError; a string or object would iterate silently."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} {value!r} is not a list")
+    return value
+
+
+def json_object(value, name: str) -> dict:
+    """value if it is a JSON object, else TypeError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} {value!r} is not an object")
+    return value
+
+
 def json_opt_str(value, name: str) -> str | None:
     """value if it is a JSON string or null (None), else TypeError."""
     return None if value is None else json_str(value, name)

@@ -25,7 +25,7 @@ from .corpus import Query, SegmentKey, first_repeat
 from .embedder import Side, embed_text
 from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
-from .jsonl import json_bool, json_number, json_str
+from .jsonl import json_bool, json_list, json_number, json_str
 from .text_retrieval import InvertedIndex, search_text
 from .thresholds import ThresholdModel, predict_threshold
 from .triggers import RuleSet, TriggerAction
@@ -99,7 +99,7 @@ class ResultPage:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultPage":
-        results = tuple(SearchResult.from_dict(r) for r in d["results"])
+        results = tuple(SearchResult.from_dict(r) for r in json_list(d["results"], "results"))
         twice = first_repeat(r.doc_id for r in results)
         if twice is not None:
             raise ValueError(f"page {d['query_id']!r} lists doc_id {twice!r} twice")

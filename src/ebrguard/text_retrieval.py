@@ -52,10 +52,10 @@ def search_text(index: InvertedIndex, query: Query, k: int) -> list[Candidate]:
     for token in set(tokenize(query.text)):
         for doc_id in index.postings.get(token, ()):
             overlap[doc_id] = overlap.get(doc_id, 0) + 1
+    # Only docs with at least one token are on a posting list, so no length is 0.
     scored = (
         (doc_id, count / math.sqrt(index.doc_lengths[doc_id]))
         for doc_id, count in overlap.items()
-        if index.doc_lengths[doc_id] > 0
     )
     return [
         Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.TEXT)

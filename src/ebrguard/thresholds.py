@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import EngagementRecord, SegmentKey
 from .errors import GuardrailError, InvalidParameter
-from .jsonl import json_int, json_number, json_str, read_json, write_json
+from .jsonl import json_int, json_list, json_number, json_str, read_json, write_json
 
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
@@ -82,11 +82,8 @@ def segment_targets(
 
 
 def _str_tuple(value, name: str) -> tuple[str, ...]:
-    """value as a tuple if it is a JSON list of JSON strings, else TypeError;
-    tuple() would split a string into its characters."""
-    if not isinstance(value, list):
-        raise TypeError(f"{name} {value!r} is not a list")
-    return tuple(json_str(v, f"{name}[{i}]") for i, v in enumerate(value))
+    """value as a tuple if it is a JSON list of JSON strings, else TypeError."""
+    return tuple(json_str(v, f"{name}[{i}]") for i, v in enumerate(json_list(value, name)))
 
 
 @dataclass(frozen=True)

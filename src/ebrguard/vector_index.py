@@ -5,23 +5,23 @@ exactly reproducible, which golden tests rely on. The index is immutable for
 query purposes; remove_many() returns a new value (copy-on-write), so concurrent
 top-k calls on one index value are safe.
 
-Only build_index and remove_many build an Index. build_index is the one place
-rows are checked and scaled to unit norm; it stores them grouped by source
-type, each type one contiguous block in corpus order, and gives each doc an
-int rank in doc_id string order. Every top-k call names a source type (EBR
-retrieves per source type) and scores that block with a single matrix-vector
-product, takes every row scoring at least the k-th score (np.partition;
-tie-complete, so all rows tied at the boundary reach the final sort), and
-orders only that pool by (-score, rank). remove_many() slices the blocks,
-ranks and ids with one keep mask; ranks keep their relative order, so nothing
-is re-sorted.
+EBR retrieves per source type, so the index is one block per source type: a
+doc_id array and its unit-norm rows, both in corpus order. Only build_index
+and remove_many build an Index, and build_index is the one place rows are
+checked and scaled. Every top-k call names a source type and scores that
+block with a single matrix-vector product, takes every row scoring at least
+the k-th score (np.partition; tie-complete, so all rows tied at the boundary
+reach the final sort), and sorts only that pool by (-score, doc_id), the
+order merge_candidates and search_text also use. remove_many() copies only
+the blocks that lose a doc, drops a block that empties, and shares the rest.
 
 Scores are bit-exact with a per-source brute-force scan, and must stay so.
 OpenBLAS's gemv sums the last rows of a matrix in a different order, so a
 row's score bits depend on the shape of the matrix it is scanned in, not on
-the row alone. A call therefore scans exactly its source type's live rows in
-corpus order (a view of the block: a view and a copy of the same rows give the
-same bits). Scanning a block in another order, or batching queries into one
+the row alone. A block is therefore always exactly its source type's live
+rows in corpus order: a block that lost no doc is the same array as before,
+and a block that did is rebuilt from its remaining rows in the same order.
+Scanning a block in another order, or batching queries into one
 matrix-matrix product, changes score bits.
 """
 
@@ -35,8 +35,6 @@ import numpy as np
 
 from .corpus import Document, SourceType, first_repeat
 from .errors import GuardrailError, InvalidParameter
-
-_SOURCE_TYPES = tuple(SourceType)
 
 
 class CandidateSource(str, Enum):
@@ -52,39 +50,32 @@ class Candidate:
 
 
 class Index:
-    """(doc_id, embedding, source_type) entries, one contiguous block of rows per source type.
+    """(doc_id, embedding, source_type) entries as one (ids, rows) block per source type.
 
-    Built only by build_index and remove_many, from checked unit-norm rows
-    grouped as counts[i] rows of _SOURCE_TYPES[i], each block in corpus order.
+    Built only by build_index and remove_many. A block holds a doc_id object
+    array and the checked unit-norm rows, both in corpus order; only source
+    types with a live doc have one. _source_of maps each live doc_id to its type.
     """
 
     def __init__(
-        self, ids: np.ndarray, matrix: np.ndarray, ranks: np.ndarray, counts: Sequence[int]
+        self, blocks: dict[SourceType, tuple[np.ndarray, np.ndarray]], source_of: dict, dim: int
     ) -> None:
-        self._ids = ids  # object array, doc_id per row
-        self._matrix = matrix
-        self._ranks = ranks  # position of the doc_id in sorted doc_id order
-        self._positions = dict(zip(ids.tolist(), range(len(ids))))
-        ends = np.cumsum(counts).tolist()
-        self._blocks = {
-            st: slice(end - int(n), end)
-            for st, n, end in zip(_SOURCE_TYPES, counts, ends)
-            if n
-        }
-        self._present = frozenset(self._blocks)
+        self._blocks = blocks
+        self._source_of = source_of
+        self._dim = dim
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[1]
+        return self._dim
 
     def source_types_present(self) -> frozenset[SourceType]:
-        return self._present
+        return frozenset(self._blocks)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._source_of)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._positions
+        return doc_id in self._source_of
 
     def remove_many(self, ids: Iterable[str]) -> "Index":
         """Return an index without the docs whose ids are given.
@@ -93,16 +84,17 @@ class Index:
         so the operation is idempotent; with nothing to remove the same
         index is returned.
         """
-        rows = [self._positions[d] for d in set(ids) if d in self._positions]
-        if not rows:
+        gone = {d for d in ids if d in self._source_of}
+        if not gone:
             return self
-        keep = np.ones(len(self), dtype=bool)
-        keep[rows] = False
-        counts = [
-            np.count_nonzero(keep[self._blocks[st]]) if st in self._blocks else 0
-            for st in _SOURCE_TYPES
-        ]
-        return Index(self._ids[keep], self._matrix[keep], self._ranks[keep], counts)
+        blocks = dict(self._blocks)
+        source_of = dict(self._source_of)
+        for st in {source_of.pop(d) for d in gone}:
+            block_ids, rows = blocks.pop(st)
+            keep = np.fromiter((d not in gone for d in block_ids.tolist()), bool, len(block_ids))
+            if keep.any():
+                blocks[st] = (block_ids[keep], rows[keep])
+        return Index(blocks, source_of, self._dim)
 
 
 def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) -> Index:
@@ -131,16 +123,10 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     matrix /= norms
-    codes = np.array([_SOURCE_TYPES.index(d.source_type) for d in docs], dtype=np.intp)
-    grouped = np.argsort(codes, kind="stable")
-    ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return Index(
-        np.array(ids, dtype=object)[grouped],
-        matrix[grouped],
-        ranks[grouped],
-        np.bincount(codes, minlength=len(_SOURCE_TYPES)),
-    )
+    id_array = np.array(ids, dtype=object)
+    members = {st: [i for i, d in enumerate(docs) if d.source_type == st] for st in SourceType}
+    blocks = {st: (id_array[m], matrix[m]) for st, m in members.items() if m}
+    return Index(blocks, {d.doc_id: d.source_type for d in docs}, dim)
 
 
 def topk(
@@ -162,8 +148,7 @@ def topk(
         raise InvalidParameter("query vector has a non-finite component")
     if source_filter not in index._blocks:
         return []
-    rows = index._blocks[source_filter]  # a slice: views of the block
-    block, ranks, ids = index._matrix[rows], index._ranks[rows], index._ids[rows]
+    ids, block = index._blocks[source_filter]
 
     n = len(ids)
     qnorm = np.linalg.norm(q)
@@ -175,10 +160,9 @@ def topk(
 
     if k < n:
         pool = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    else:
-        pool = np.arange(n)
-    picked = pool[np.lexsort((ranks[pool], -scores[pool]))[:k]]
+        scores, ids = scores[pool], ids[pool]
+    ranked = sorted(zip((-scores).tolist(), ids.tolist()))[:k]
     return [
-        Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.EBR)
-        for doc_id, score in zip(ids[picked].tolist(), scores[picked].tolist())
+        Candidate(doc_id=doc_id, raw_score=-neg, source=CandidateSource.EBR)
+        for neg, doc_id in ranked
     ]

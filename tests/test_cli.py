@@ -500,6 +500,23 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {results}:2: ")
         assert "demoted" in err
 
+    @pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+    def test_evaluate_results_not_a_list_names_file_and_line(
+        self, workdir, tmp_path, capsys, value
+    ):
+        results = tmp_path / "results.jsonl"
+        results.write_text(
+            '{"query_id": "q0000", "ebr_triggered": true, "results": []}\n'
+            + json.dumps({"query_id": "q0001", "ebr_triggered": True, "results": value}) + "\n"
+        )
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}:2: results {value!r} is not a list")
+
     def test_search_model_p_not_a_number_names_file(self, workdir, tmp_path, capsys):
         model_path, payload = fitted_model(capsys, workdir, tmp_path)
         payload["p"] = "0.9"
@@ -539,8 +556,10 @@ class TestBadInputExitsOne:
         [
             ("nonrec_rate", "0", "nonrec_rate '0' is not a number"),
             ("n_sessions", 2.9, "n_sessions 2.9 is not an integer"),
+            ("ndcg_at", [0.5], "ndcg_at [0.5] is not an object"),
+            ("failure_breakdown", [], "failure_breakdown [] is not an object"),
         ],
-        ids=["str-rate", "float-count"],
+        ids=["str-rate", "float-count", "list-ndcg", "list-breakdown"],
     )
     def test_compare_report_field_of_wrong_type_names_file(
         self, tmp_path, capsys, field, value, message

@@ -232,8 +232,11 @@ class TestRemove:
         rng = np.random.default_rng(10)
         docs, embeddings = make_fixture(rng, 5)
         index = build_index(docs, embeddings)
-        for doc in docs:
+        for removed, doc in enumerate(docs, start=1):
             index = index.remove_many([doc.doc_id])
+            live = docs[removed:]
+            assert len(index) == len(live)
+            assert index.source_types_present() == {d.source_type for d in live}
         q = random_unit(rng, 16)
         for st_filter in SourceType:
             assert topk(index, q, 3, source_filter=st_filter) == []
@@ -347,7 +350,10 @@ class TestBitExactScan:
         embeddings = {doc.doc_id: rng.normal(size=d) for doc in docs}
         index = build_index(docs, embeddings)
         later = index.remove_many([f"d{i}" for i in rng.choice(n, size=300, replace=False)])
-        for idx in (index, later):
+        cn_only = index.remove_many(
+            [doc.doc_id for doc in docs if doc.source_type is SourceType.CN][::7]
+        )
+        for idx in (index, later, cn_only):
             live = [doc for doc in docs if doc.doc_id in idx]
             matrix = np.vstack([embeddings[doc.doc_id] for doc in live])
             matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
