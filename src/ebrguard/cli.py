@@ -120,6 +120,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     index = build_index(docs, embeddings)
     store = load_labels(args.labels) if args.labels else LabelStore()
+    # Labels for unknown docs are not an error (a label log may cover a larger
+    # corpus), but they change nothing, so the summary says how many there were.
+    stray = sum(1 for lab in store.audit if lab.doc_id not in corpus_ids)
     index, removed = apply_index_removal(index, store)
     rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
     model = load_model(args.model) if args.model else None
@@ -133,7 +136,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     print(
         f"searched {len(queries)} queries (k={args.k}, {removed} docs removed "
-        f"for integrity) -> {args.out}"
+        f"for integrity, {stray} labels for docs not in the corpus) -> {args.out}"
     )
     return 0
 

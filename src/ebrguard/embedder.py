@@ -52,12 +52,17 @@ class Side(str, Enum):
     DOC = "DocTower"
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
+def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a of data, continuing from state h (the offset basis by default)."""
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+# FNV-1a hashes byte by byte, so each side's state after its salt prefix is
+# computed once and every trigram's salted hash continues from it.
+_SALTED_STATE = {side: _fnv1a(salt) for side, salt in _SIDE_SALT.items()}
 
 
 def _basis_vector(d: int) -> np.ndarray:
@@ -71,9 +76,10 @@ def _check_dim(d: int) -> None:
         raise InvalidParameter(f"dimension {d} too small, need d >= 8")
 
 
-def _embed(lowered: str, salt: bytes, d: int, slots: dict[str, tuple[int, float]]) -> np.ndarray:
-    """The unit vector of already-lowercased text; slots memoizes each trigram's
-    (bucket, weight) and must only ever be shared under one (salt, d)."""
+def _embed(lowered: str, salted: int, d: int, slots: dict[str, tuple[int, float]]) -> np.ndarray:
+    """The unit vector of already-lowercased text; salted is the side's hash
+    state after its salt, and slots memoizes each trigram's (bucket, weight)
+    and must only ever be shared under one (side, d)."""
     n_grams = len(lowered) - 2
     if n_grams <= 0 or not lowered.strip():
         return _basis_vector(d)
@@ -84,7 +90,7 @@ def _embed(lowered: str, salt: bytes, d: int, slots: dict[str, tuple[int, float]
         if slot is None:
             data = gram.encode("utf-8")
             # Map the salted hash to [-1, 1) and use it to spread weights per side.
-            jitter = ((_fnv1a(salt + data) >> 11) / float(1 << 53)) * 2.0 - 1.0
+            jitter = ((_fnv1a(data, salted) >> 11) / float(1 << 53)) * 2.0 - 1.0
             slot = slots[gram] = (_fnv1a(data) % d, 1.0 + _WEIGHT_SPREAD * jitter)
         bucket, weight = slot
         acc[bucket] += weight
@@ -99,7 +105,7 @@ def embed_text(text: str, side: Side = Side.QUERY, d: int = DEFAULT_DIM) -> np.n
     salt constants, no randomness.
     """
     _check_dim(d)
-    return _embed(text.lower(), _SIDE_SALT[Side(side).value], d, {})
+    return _embed(text.lower(), _SALTED_STATE[Side(side).value], d, {})
 
 
 def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
@@ -110,7 +116,7 @@ def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
     a copy, so every doc_id has its own array and no spare array is allocated.
     """
     _check_dim(d)
-    salt = _SIDE_SALT[Side.DOC.value]
+    salted = _SALTED_STATE[Side.DOC.value]
     slots: dict[str, tuple[int, float]] = {}
     by_text: dict[str, np.ndarray] = {}
     out: dict[str, np.ndarray] = {}
@@ -118,7 +124,7 @@ def embed_corpus(docs, d: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
         lowered = (doc.title + " " + doc.description).lower()
         v = by_text.get(lowered)
         if v is None:
-            out[doc.doc_id] = by_text[lowered] = _embed(lowered, salt, d, slots)
+            out[doc.doc_id] = by_text[lowered] = _embed(lowered, salted, d, slots)
         else:
             out[doc.doc_id] = v.copy()
     return out

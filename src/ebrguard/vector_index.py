@@ -9,11 +9,14 @@ EBR retrieves per source type, so the index is one block per source type: a
 doc_id array and its unit-norm rows, both in corpus order. Only build_index
 and remove_many build an Index, and build_index is the one place rows are
 checked and scaled. Every top-k call names a source type and scores that
-block with a single matrix-vector product, takes every row scoring at least
-the k-th score (np.partition; tie-complete, so all rows tied at the boundary
-reach the final sort), and sorts only that pool by (-score, doc_id), the
-order merge_candidates and search_text also use. remove_many() copies only
-the blocks that lose a doc, drops a block that empties, and shares the rest.
+block with a single matrix-vector product and hands the scores to best_k,
+which takes every row scoring at least the k-th score (np.partition;
+tie-complete, so all rows tied at the boundary reach the final sort) and
+sorts only that pool by (-score, doc_id), the order merge_candidates also
+uses. search_text selects with the same best_k, keyed by doc ranks that
+follow doc_id order, so its order is (-score, doc_id) too. remove_many()
+copies only the blocks that lose a doc, drops a block that empties, and
+shares the rest.
 
 Scores are bit-exact with a per-source brute-force scan, and must stay so.
 OpenBLAS's gemv sums the last rows of a matrix in a different order, so a
@@ -150,19 +153,28 @@ def topk(
         return []
     ids, block = index._blocks[source_filter]
 
-    n = len(ids)
     qnorm = np.linalg.norm(q)
     if qnorm == 0.0:
-        scores = np.zeros(n, dtype=np.float64)
+        scores = np.zeros(len(ids), dtype=np.float64)
     else:
         # Entries are stored unit-norm, so the dot product is the cosine.
         scores = np.clip(block @ (q / qnorm), -1.0, 1.0)
 
+    return [
+        Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.EBR)
+        for score, doc_id in best_k(scores, ids, k)
+    ]
+
+
+def best_k(scores: np.ndarray, keys: np.ndarray, k: int) -> list[tuple[float, object]]:
+    """The k (score, key) pairs of highest score, ties broken by ascending key.
+
+    Every entry scoring at least the k-th score joins the pool (np.partition;
+    tie-complete, so all entries tied at the boundary reach the sort), and
+    only that pool is sorted.
+    """
+    n = len(scores)
     if k < n:
         pool = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-        scores, ids = scores[pool], ids[pool]
-    ranked = sorted(zip((-scores).tolist(), ids.tolist()))[:k]
-    return [
-        Candidate(doc_id=doc_id, raw_score=-neg, source=CandidateSource.EBR)
-        for neg, doc_id in ranked
-    ]
+        scores, keys = scores[pool], keys[pool]
+    return [(-neg, key) for neg, key in sorted(zip((-scores).tolist(), keys.tolist()))[:k]]

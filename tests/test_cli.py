@@ -269,6 +269,20 @@ class TestLabel:
             page = json.loads(line)
             assert target not in {r["doc_id"] for r in page["results"]}
 
+    def test_search_counts_labels_for_docs_not_in_the_corpus(self, workdir, tmp_path, capsys):
+        target = json.loads((workdir / "data" / "corpus.jsonl").read_text().splitlines()[0])
+        labels = tmp_path / "labels.jsonl"
+        write_jsonl(labels, [
+            {"doc_id": doc_id, "severity": "Removable", "reason": "Misinformation"}
+            for doc_id in (target["doc_id"], "zzz_unknown", "zzz_unknown")
+        ])
+        code, out, err = run(
+            capsys, "search", *search_inputs(workdir), "--labels", str(labels),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 0 and err == ""
+        assert "1 docs removed for integrity, 2 labels for docs not in the corpus" in out
+
     def test_two_labels_keep_append_order(self, tmp_path, capsys):
         labels = tmp_path / "labels.jsonl"
         for sev in ("Demotable", "Removable"):

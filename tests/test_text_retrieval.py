@@ -1,5 +1,6 @@
 """Tokenizer and overlap-scoring fallback retriever vs. brute-force scoring."""
 
+import heapq
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from ebrguard import (
     build_text_index,
 )
 from ebrguard.corpus import Query
+from ebrguard.errors import GuardrailError
 from ebrguard.text_retrieval import search_text, tokenize
 from tests.test_corpus import make_doc
 
@@ -48,11 +50,14 @@ class TestTokenize:
 class TestBuildTextIndex:
     def test_empty_corpus(self):
         index = build_text_index([])
-        assert index.postings == {} and index.doc_lengths == {}
+        assert index.postings == {}
+        assert len(index.doc_ids) == 0 and len(index.doc_lengths) == 0
 
     def test_single_doc_posting(self):
         index = build_text_index([make_doc("d1", title="x", description="")])
-        assert index.postings["x"] == ["d1"]
+        assert index.doc_ids.tolist() == ["d1"]
+        assert index.postings["x"].tolist() == [0]
+        assert index.doc_lengths.tolist() == [1]
 
     def test_shared_token_posting_length(self):
         docs = [
@@ -60,14 +65,30 @@ class TestBuildTextIndex:
             make_doc("d2", title="jazz quartet", description=""),
         ]
         index = build_text_index(docs)
-        assert index.postings["jazz"] == ["d1", "d2"]
+        assert index.postings["jazz"].tolist() == [0, 1]
+
+    def test_ranks_follow_doc_id_string_order(self):
+        docs = [
+            make_doc("d9", title="jazz", description=""),
+            make_doc("d10", title="jazz chess club", description=""),
+            make_doc("d1", title="", description=""),
+        ]
+        index = build_text_index(docs)
+        assert index.doc_ids.tolist() == ["d1", "d10", "d9"]
+        assert index.doc_lengths.tolist() == [0, 3, 1]
+        assert index.postings["jazz"].tolist() == [1, 2]
 
     def test_every_posting_doc_has_a_length(self):
-        docs = [make_doc(f"d{i}") for i in range(5)]
+        docs = [make_doc(f"d{i}") for i in range(5)] + [make_doc("e", title="", description="")]
         index = build_text_index(docs)
-        for doc_ids in index.postings.values():
-            for doc_id in doc_ids:
-                assert doc_id in index.doc_lengths
+        for ranks in index.postings.values():
+            assert (np.diff(ranks) > 0).all()
+            assert (index.doc_lengths[ranks] > 0).all()
+
+    def test_duplicate_doc_id_is_rejected(self):
+        docs = [make_doc("d1"), make_doc("d2"), make_doc("d1", title="other")]
+        with pytest.raises(GuardrailError, match="duplicate id: 'd1'"):
+            build_text_index(docs)
 
 
 def brute_force_text(docs, query, k):
@@ -148,3 +169,54 @@ class TestSearchText:
         index = build_text_index([make_doc("d1")])
         with pytest.raises(ValueError):
             search_text(index, make_query("hiking"), 0)
+
+
+def reference_search_text(docs, query, k):
+    """The dict-of-doc_ids scorer search_text replaced, kept as its oracle:
+    string postings, a per-query overlap dict and a heapq selection."""
+    postings, doc_lengths = {}, {}
+    for doc in docs:
+        tokens = tokenize(doc.title + " " + doc.description)
+        doc_lengths[doc.doc_id] = len(tokens)
+        for token in set(tokens):
+            postings.setdefault(token, []).append(doc.doc_id)
+    overlap = {}
+    for token in set(tokenize(query.text)):
+        for doc_id in postings.get(token, ()):
+            overlap[doc_id] = overlap.get(doc_id, 0) + 1
+    scored = (
+        (doc_id, count / math.sqrt(doc_lengths[doc_id])) for doc_id, count in overlap.items()
+    )
+    return heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
+
+
+_TINY_VOCAB = ["jazz", "chess", "club", "kiln"]
+
+
+@st.composite
+def text_corpora(draw):
+    """Up to 25 docs over a four-word vocabulary, in a shuffled id order (so
+    corpus order, numeric order and string order of d9/d10 all differ), some
+    with no tokens at all, and optionally one token present in every doc."""
+    n = draw(st.integers(0, 25))
+    order = draw(st.permutations(range(n)))
+    everywhere = draw(st.booleans())
+    words = st.lists(st.sampled_from(_TINY_VOCAB), max_size=4)
+    docs = []
+    for i in order:
+        title = draw(words) + (["every"] if everywhere else [])
+        docs.append(make_doc(f"d{i}", title=" ".join(title), description=" - ".join(draw(words))))
+    return docs
+
+
+class TestSearchTextOracle:
+    @given(
+        docs=text_corpora(),
+        query_words=st.lists(st.sampled_from(_TINY_VOCAB + ["every", "absent"]), max_size=6),
+        k=st.integers(1, 30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_and_score_bits_as_reference(self, docs, query_words, k):
+        query = make_query(" ".join(query_words))
+        mine = [(c.doc_id, c.raw_score) for c in search_text(build_text_index(docs), query, k)]
+        assert mine == reference_search_text(docs, query, k)
