@@ -60,4 +60,4 @@ for seg in sorted(targets, key=SegmentKey.sort_key):
 
 unseen = SegmentKey("CA", "en", Intent.GROUP_TOPIC, SourceType.UN)
 print(f"\nunseen segment CA/en/GroupTopic/UN -> "
-      f"{predict_threshold(model, unseen):.3f} (via unknown-slot features)")
+      f"{predict_threshold(model, unseen):.3f} (unseen values contribute 0)")

@@ -3,7 +3,7 @@
 - MalformedRecord: anything read from a file; it names the file and, when
   one line is at fault, the line.
 - InvalidParameter: a setting or argument out of range (k, a dimension, a
-  query vector's size, p, a sigmoid scale, a synthetic-data spec).
+  query vector's size, p, a sigmoid scale or offset, a synthetic-data spec).
 - GuardrailError: the base of both, raised as itself when in-memory data
   breaks a rule (a repeated doc_id, a doc with no vector, an empty log).
 """

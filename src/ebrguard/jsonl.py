@@ -10,6 +10,7 @@ that names the file and, where known, the 1-based line.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -32,9 +33,14 @@ def _malformed(path: str | Path, exc: Exception, line_no: int | None = None) -> 
 
 
 def json_number(value, name: str) -> float:
-    """value as a float if it is a JSON number (int or float, not a bool), else TypeError."""
+    """value as a float if it is a finite JSON number (int or float, not a bool), else TypeError.
+
+    Python's json reads NaN, Infinity and -Infinity; none of them is a JSON number.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} {value!r} is not a number")
+    if not math.isfinite(value):
+        raise TypeError(f"{name} {value!r} is not a finite number")
     return float(value)
 
 

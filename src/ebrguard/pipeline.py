@@ -40,8 +40,12 @@ class SigmoidParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise InvalidParameter(f"sigmoid scale a must be > 0 to preserve order, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise InvalidParameter(
+                f"sigmoid scale a must be finite and > 0 to preserve order, got {self.a}"
+            )
+        if not math.isfinite(self.b):
+            raise InvalidParameter(f"sigmoid offset b must be finite, got {self.b}")
 
 
 DEFAULT_SIGMOID = SigmoidParams()

@@ -172,6 +172,8 @@ class SyntheticSpec:
     )
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if self.n_docs < 10:
             raise InvalidParameter(f"n_docs must be >= 10, got {self.n_docs}")
         if self.n_queries < 1:

@@ -7,11 +7,12 @@ empirical multiset (the k-th largest engaged score for k = ceil(p * N)), not
 an interpolated quantile: the returned threshold is always an observed score,
 and raising it to the next larger observed score drops retention below p.
 
-The regression is plain unweighted least squares over one-hot segment
-features (user country, language, query intent, doc source type) plus an
-intercept, solved by normal equations with a tiny diagonal jitter for
-numerical stability. One-hot blocks are collinear with the intercept, so the
-coefficient vector is not unique; predictions are.
+The model is an intercept plus one coefficient per value of each segment
+feature (user country, language, query intent, doc source type) seen at fit
+time; a value never seen contributes 0. The coefficients are plain unweighted
+least squares, solved by normal equations with a tiny diagonal jitter for
+numerical stability. Each feature's columns sum to the intercept column, so
+the coefficients are not unique; predictions on fitted segments are.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .corpus import EngagementRecord, SegmentKey
 from .errors import GuardrailError, InvalidParameter
-from .jsonl import json_int, json_list, json_number, json_str, read_json, write_json
+from .jsonl import json_int, json_number, json_object, read_json, write_json
 
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
@@ -67,6 +68,8 @@ def segment_targets(
     """
     if not 0.0 < p <= 1.0:
         raise InvalidParameter(f"p must be in (0, 1], got {p}")
+    if min_support < 1:
+        raise InvalidParameter(f"min_support must be >= 1, got {min_support}")
     if not log:
         raise GuardrailError("engagement log is empty")
     by_segment: dict[SegmentKey, list[float]] = defaultdict(list)
@@ -81,74 +84,8 @@ def segment_targets(
     }
 
 
-def _str_tuple(value, name: str) -> tuple[str, ...]:
-    """value as a tuple if it is a JSON list of JSON strings, else TypeError."""
-    return tuple(json_str(v, f"{name}[{i}]") for i, v in enumerate(json_list(value, name)))
-
-
-@dataclass(frozen=True)
-class FeatureEncoding:
-    """One-hot layout: intercept, then a block per feature with an unknown slot."""
-
-    countries: tuple[str, ...]
-    languages: tuple[str, ...]
-    intents: tuple[str, ...]
-    source_types: tuple[str, ...]
-
-    @classmethod
-    def from_segments(cls, segments: Sequence[SegmentKey]) -> "FeatureEncoding":
-        return cls(
-            countries=tuple(sorted({s.user_country for s in segments})),
-            languages=tuple(sorted({s.language for s in segments})),
-            intents=tuple(sorted({s.query_intent.value for s in segments})),
-            source_types=tuple(sorted({s.doc_source_type.value for s in segments})),
-        )
-
-    def _blocks(self) -> list[tuple[str, tuple[str, ...]]]:
-        return [
-            ("user_country", self.countries),
-            ("language", self.languages),
-            ("query_intent", self.intents),
-            ("doc_source_type", self.source_types),
-        ]
-
-    @property
-    def length(self) -> int:
-        # Intercept + (categories + unknown slot) per block.
-        return 1 + sum(len(cats) + 1 for _, cats in self._blocks())
-
-    def encode(self, segment: SegmentKey) -> np.ndarray:
-        """Intercept-plus-one-hot feature vector; unseen categories hit the unknown slot."""
-        values = (
-            segment.user_country,
-            segment.language,
-            segment.query_intent.value,
-            segment.doc_source_type.value,
-        )
-        x = np.zeros(self.length, dtype=np.float64)
-        x[0] = 1.0
-        pos = 1
-        for (name, cats), value in zip(self._blocks(), values):
-            x[pos + (cats.index(value) if value in cats else len(cats))] = 1.0
-            pos += len(cats) + 1
-        return x
-
-    def to_dict(self) -> dict:
-        return {
-            "countries": list(self.countries),
-            "languages": list(self.languages),
-            "intents": list(self.intents),
-            "source_types": list(self.source_types),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureEncoding":
-        return cls(
-            countries=_str_tuple(d["countries"], "countries"),
-            languages=_str_tuple(d["languages"], "languages"),
-            intents=_str_tuple(d["intents"], "intents"),
-            source_types=_str_tuple(d["source_types"], "source_types"),
-        )
+# The segment features in SegmentKey.sort_key() order, named as in engagement.jsonl.
+FEATURES = ("user_country", "language", "query_intent", "doc_source_type")
 
 
 @dataclass(frozen=True)
@@ -160,31 +97,37 @@ class FitReport:
 
 @dataclass(frozen=True)
 class ThresholdModel:
-    beta: np.ndarray
-    encoding: FeatureEncoding
+    """intercept plus, per feature in FEATURES, a coefficient for each value seen at fit time."""
+
+    intercept: float
+    coefficients: dict[str, dict[str, float]]
     p: float
     fit_report: FitReport
 
     def to_dict(self) -> dict:
         return {
             "p": self.p,
-            "beta": [float(b) for b in self.beta],
-            "encoding": self.encoding.to_dict(),
+            "intercept": self.intercept,
+            "coefficients": self.coefficients,
             "fit_report": asdict(self.fit_report),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdModel":
         report = d["fit_report"]
-        beta = np.array([json_number(b, f"beta[{i}]") for i, b in enumerate(d["beta"])])
-        encoding = FeatureEncoding.from_dict(d["encoding"])
-        if encoding.length != beta.size:
-            raise ValueError(
-                f"encoding has {encoding.length} features but beta has {beta.size} values"
-            )
+        coefficients = json_object(d["coefficients"], "coefficients")
+        unknown = sorted(set(coefficients) - set(FEATURES))
+        if unknown:
+            raise ValueError(f"coefficients has unknown feature {unknown[0]!r}")
         return cls(
-            beta=beta,
-            encoding=encoding,
+            intercept=json_number(d["intercept"], "intercept"),
+            coefficients={
+                name: {
+                    value: json_number(c, f"{name} {value!r} coefficient")
+                    for value, c in json_object(coefficients[name], name).items()
+                }
+                for name in FEATURES
+            },
             p=json_number(d["p"], "p"),
             fit_report=FitReport(
                 mse=json_number(report["mse"], "mse"),
@@ -200,31 +143,45 @@ _JITTER = 1e-8
 def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdModel:
     """Least-squares fit of segment targets; returns the model with its fit report.
 
-    Solved via (X'X + jitter*I) beta = X'y. The jitter is numerical
-    stabilization for the one-hot collinearity, small enough (1e-8) not to
-    act as statistical regularization.
+    X has an intercept column, then one 0/1 column per (feature, seen value)
+    in FEATURES order and sorted value order. Solved via
+    (X'X + jitter*I) beta = X'y; the jitter is numerical stabilization for
+    the collinearity of each feature's columns with the intercept, small
+    enough (1e-8) not to act as statistical regularization.
     """
     if len(targets) < 2:
         raise GuardrailError(f"need >= 2 segments to fit, got {len(targets)}")
     segments = sorted(targets, key=SegmentKey.sort_key)
-    encoding = FeatureEncoding.from_segments(segments)
-    X = np.vstack([encoding.encode(s) for s in segments])
+    rows = [s.sort_key() for s in segments]
+    columns = [
+        (name, value) for i, name in enumerate(FEATURES) for value in sorted({r[i] for r in rows})
+    ]
+    column_of = {c: j for j, c in enumerate(columns, start=1)}
+    X = np.zeros((len(rows), 1 + len(columns)), dtype=np.float64)
+    X[:, 0] = 1.0
+    for i, row in enumerate(rows):
+        X[i, [column_of[c] for c in zip(FEATURES, row)]] = 1.0
     y = np.array([targets[s] for s in segments], dtype=np.float64)
     gram = X.T @ X + _JITTER * np.eye(X.shape[1])
     beta = np.linalg.solve(gram, X.T @ y)
     residuals = X @ beta - y
+    coefficients: dict[str, dict[str, float]] = {name: {} for name in FEATURES}
+    for (name, value), b in zip(columns, beta[1:]):
+        coefficients[name][value] = float(b)
     report = FitReport(
         mse=float(np.mean(residuals**2)),
         max_residual=float(np.max(np.abs(residuals))),
         n_segments=len(segments),
     )
-    return ThresholdModel(beta=beta, encoding=encoding, p=p, fit_report=report)
+    return ThresholdModel(float(beta[0]), coefficients, p, report)
 
 
 def predict_threshold(model: ThresholdModel, segment: SegmentKey) -> float:
-    """Dot product of beta with the encoded segment, clamped to [0, 1]
-    because it thresholds sigmoid outputs."""
-    raw = float(model.encoding.encode(segment) @ model.beta)
+    """intercept plus the coefficient of each of the segment's values, clamped
+    to [0, 1] because it thresholds sigmoid outputs. A value not seen at fit
+    time contributes 0."""
+    values = zip(FEATURES, segment.sort_key())
+    raw = sum((model.coefficients[name].get(value, 0.0) for name, value in values), model.intercept)
     return min(1.0, max(0.0, raw))
 
 

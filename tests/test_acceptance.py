@@ -41,7 +41,7 @@ from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
 from ebrguard.pipeline import SearchResult, apply_threshold, merge_candidates
 from ebrguard.synth import DEFAULT_FAILURE_MIX
 from ebrguard.text_retrieval import search_text
-from ebrguard.thresholds import FeatureEncoding
+from ebrguard.thresholds import FEATURES
 from ebrguard.vector_index import topk
 SEG = SegmentKey("US", "en", Intent.PERSON_NAME, SourceType.UN)
 
@@ -96,7 +96,8 @@ def test_criterion_02_retention_tightness_on_randomized_segments():
 
 
 def test_criterion_03_ols_recovery_of_planted_coefficients():
-    """Targets built as X @ beta*: fitted predictions match to 1e-6 over 50 segments."""
+    """Targets built from a planted intercept plus one coefficient per feature
+    value: fitted predictions match to 1e-6 over 50 segments."""
     rng = np.random.default_rng(21)
     countries = ["US", "GB", "BR", "MX", "CA", "DE", "FR"]
     languages = ["en", "es", "pt", "de"]
@@ -112,13 +113,19 @@ def test_criterion_03_ols_recovery_of_planted_coefficients():
             )
         )
     segments = sorted(segments, key=SegmentKey.sort_key)
-    encoding = FeatureEncoding.from_segments(segments)
-    beta_star = rng.uniform(-1.0, 1.0, size=encoding.length)
-    targets = {s: float(encoding.encode(s) @ beta_star) for s in segments}
+    intercept = float(rng.uniform(-1.0, 1.0))
+    planted = {}
+    for i, name in enumerate(FEATURES):
+        values = sorted({s.sort_key()[i] for s in segments})
+        planted[name] = {v: float(rng.uniform(-1.0, 1.0)) for v in values}
+
+    def linear(coefficients, intercept, s):
+        return intercept + sum(coefficients[n][v] for n, v in zip(FEATURES, s.sort_key()))
+
+    targets = {s: linear(planted, intercept, s) for s in segments}
     model = fit(targets)
     errors = [
-        abs(float(model.encoding.encode(s) @ model.beta) - targets[s])
-        for s in segments
+        abs(linear(model.coefficients, model.intercept, s) - targets[s]) for s in segments
     ]
     assert max(errors) <= 1e-6
 

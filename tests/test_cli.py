@@ -68,6 +68,14 @@ def fitted_model(capsys, workdir, tmp_path):
     return model_path, json.loads(model_path.read_text())
 
 
+def field_at(payload, where):
+    """The object holding the last key of path where in nested JSON payload, and that key."""
+    *outer, field = where
+    for key in outer:
+        payload = payload[key]
+    return payload, field
+
+
 class TestGenData:
     def test_writes_all_four_files(self, workdir):
         data = workdir / "data"
@@ -123,7 +131,10 @@ class TestFitThresholds:
         assert code == 0
         assert "fit" in out
         payload = json.loads(model_path.read_text())
-        assert set(payload) == {"p", "beta", "encoding", "fit_report"}
+        assert set(payload) == {"p", "intercept", "coefficients", "fit_report"}
+        assert list(payload["coefficients"]) == [
+            "user_country", "language", "query_intent", "doc_source_type"
+        ]
         assert payload["p"] == 0.9
 
     def test_invalid_p_exits_one(self, workdir, capsys):
@@ -464,18 +475,22 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {labels}:2: ts 5 is not a string")
 
     @pytest.mark.parametrize(
-        ("field", "value", "message"),
+        ("where", "value", "message"),
         [
-            ("countries", "BRGBMXUS", "countries 'BRGBMXUS' is not a list"),
-            ("intents", ["PersonName", 3], "intents[1] 3 is not a string"),
+            (("coefficients",), [0.1], "coefficients [0.1] is not an object"),
+            (
+                ("coefficients", "user_country"), "BRGBMXUS",
+                "user_country 'BRGBMXUS' is not an object",
+            ),
         ],
-        ids=["str-countries", "int-intent"],
+        ids=["list-coefficients", "str-country"],
     )
-    def test_search_model_encoding_not_a_list_of_strings_names_file(
-        self, workdir, tmp_path, capsys, field, value, message
+    def test_search_model_coefficients_not_an_object_names_file(
+        self, workdir, tmp_path, capsys, where, value, message
     ):
         model_path, payload = fitted_model(capsys, workdir, tmp_path)
-        payload["encoding"][field] = value
+        parent, field = field_at(payload, where)
+        parent[field] = value
         model_path.write_text(json.dumps(payload))
         code, _, err = run(
             capsys, "search", *search_inputs(workdir), "--model", str(model_path),
@@ -483,20 +498,6 @@ class TestBadInputExitsOne:
         )
         assert code == 1
         assert err.startswith(f"error: {model_path}: {message}")
-
-    def test_search_model_encoding_longer_than_beta_names_file(self, workdir, tmp_path, capsys):
-        model_path, payload = fitted_model(capsys, workdir, tmp_path)
-        n_beta = len(payload["beta"])
-        payload["encoding"]["countries"].append("ZZ")
-        model_path.write_text(json.dumps(payload))
-        code, _, err = run(
-            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
-            "--out", str(tmp_path / "results.jsonl"),
-        )
-        assert code == 1
-        assert err.startswith(
-            f"error: {model_path}: encoding has {n_beta + 1} features but beta has {n_beta} values"
-        )
 
     def test_evaluate_demoted_not_a_bool_names_file_and_line(self, workdir, tmp_path, capsys):
         row = {"doc_id": "a", "transformed_score": 0.5, "source": "EBR", "demoted": "yes"}
@@ -545,18 +546,28 @@ class TestBadInputExitsOne:
     @pytest.mark.parametrize(
         ("where", "value", "message"),
         [
-            (("beta", 0), "0.61", "beta[0] '0.61' is not a number"),
-            (("beta", 1), True, "beta[1] True is not a number"),
+            (("intercept",), "0.61", "intercept '0.61' is not a number"),
+            (("intercept",), float("nan"), "intercept nan is not a finite number"),
+            (
+                ("coefficients", "query_intent", "PersonName"), True,
+                "query_intent 'PersonName' coefficient True is not a number",
+            ),
+            (
+                ("coefficients", "language", "en"), float("-inf"),
+                "language 'en' coefficient -inf is not a finite number",
+            ),
             (("fit_report", "n_segments"), 2.9, "n_segments 2.9 is not an integer"),
         ],
-        ids=["str-beta", "bool-beta", "float-count"],
+        ids=[
+            "str-intercept", "nan-intercept", "bool-coefficient", "inf-coefficient", "float-count"
+        ],
     )
     def test_search_model_field_of_wrong_type_names_file(
         self, workdir, tmp_path, capsys, where, value, message
     ):
         model_path, payload = fitted_model(capsys, workdir, tmp_path)
-        outer, inner = where
-        payload[outer][inner] = value
+        parent, field = field_at(payload, where)
+        parent[field] = value
         model_path.write_text(json.dumps(payload))
         code, _, err = run(
             capsys, "search", *search_inputs(workdir), "--model", str(model_path),
@@ -666,16 +677,21 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {rules}:2: {field} {value!r} is not a string")
 
-    def test_search_model_without_beta_names_file(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "where", [("intercept",), ("coefficients",), ("coefficients", "language")],
+        ids=lambda where: ".".join(where),
+    )
+    def test_search_model_without_field_names_file(self, workdir, tmp_path, capsys, where):
         model_path, payload = fitted_model(capsys, workdir, tmp_path)
-        del payload["beta"]
+        parent, field = field_at(payload, where)
+        del parent[field]
         model_path.write_text(json.dumps(payload))
         code, _, err = run(
             capsys, "search", *search_inputs(workdir), "--model", str(model_path),
             "--out", str(tmp_path / "results.jsonl"),
         )
         assert code == 1
-        assert err.startswith(f"error: {model_path}: missing field 'beta'")
+        assert err.startswith(f"error: {model_path}: missing field '{field}'")
 
     def test_search_embeddings_line_for_unknown_doc_names_file_and_id(
         self, workdir, tmp_path, capsys
@@ -709,8 +725,12 @@ class TestBadInputExitsOne:
         [
             ["search", "--k", "0"],
             ["search", "--sigmoid-a", "0"],
+            ["search", "--sigmoid-b", "nan"],
             ["fit-thresholds", "--sigmoid-a", "0"],
+            ["fit-thresholds", "--min-support", "5", "--sigmoid-a", "inf"],
+            ["fit-thresholds", "--min-support", "-3"],
             ["build-index", "--dim", "4"],
+            ["gen-data", "--seed", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -720,6 +740,7 @@ class TestBadInputExitsOne:
             "search": search_inputs(workdir),
             "fit-thresholds": ["--log", str(data / "engagement.jsonl")],
             "build-index": ["--corpus", str(data / "corpus.jsonl")],
+            "gen-data": [],
         }[argv[0]]
         code, _, err = run(capsys, *argv, *inputs, "--out", str(tmp_path / "out"))
         assert code == 1

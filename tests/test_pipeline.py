@@ -24,6 +24,7 @@ from ebrguard import (
     SegmentKey,
 )
 from ebrguard.corpus import Query
+from ebrguard.errors import InvalidParameter
 from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
 from ebrguard.pipeline import (
     ResultPage,
@@ -76,6 +77,13 @@ class TestSigmoidTransform:
             SigmoidParams(a=0.0)
         with pytest.raises(ValueError):
             SigmoidParams(a=-1.0)
+
+    @pytest.mark.parametrize(
+        ("a", "b"), [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, -math.inf)]
+    )
+    def test_non_finite_params_rejected(self, a, b):
+        with pytest.raises(InvalidParameter):
+            SigmoidParams(a=a, b=b)
 
 
 def rows(*pairs, source=CandidateSource.EBR):

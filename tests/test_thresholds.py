@@ -1,4 +1,9 @@
-"""Percentile targets, one-hot encoding, and the least-squares threshold model."""
+"""Percentile targets and the least-squares threshold model."""
+
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +22,12 @@ from ebrguard import (
     segment_targets,
 )
 from ebrguard.errors import GuardrailError, InvalidParameter
-from ebrguard.thresholds import FeatureEncoding, percentile_threshold
+from ebrguard.thresholds import FEATURES, ThresholdModel, percentile_threshold
 
 SEG_A = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
 SEG_B = SegmentKey("GB", "en", Intent.GROUP_TOPIC, SourceType.CN)
 SEG_C = SegmentKey("BR", "pt", Intent.PERSON_NAME, SourceType.UN)
+SEG_D = SegmentKey("GB", "en", Intent.PERSON_NAME, SourceType.UN)
 
 # Ten engaged scores spanning [0.2, 1.0]; exactly 3 of 10 sit at or above 0.7,
 # so the 30%-retention threshold lands on 0.7.
@@ -126,27 +132,36 @@ class TestSegmentTargets:
             segment_targets(records_for(SEG_A, WORKED_SCORES), 1.5)
 
 
-class TestEncoding:
-    def test_intercept_and_one_hot_blocks(self):
-        encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
-        x = encoding.encode(SEG_A)
-        assert x[0] == 1.0
-        # intercept + one active slot in each of the four blocks
-        assert x.sum() == 5.0
-        assert set(np.unique(x)) == {0.0, 1.0}
+class TestUnseenValues:
+    def test_coefficients_cover_exactly_the_seen_values(self):
+        model = fit({SEG_A: 0.3, SEG_C: 0.5, SEG_D: 0.7})
+        assert model.coefficients.keys() == set(FEATURES)
+        assert model.coefficients["user_country"].keys() == {"BR", "GB", "US"}
+        assert model.coefficients["language"].keys() == {"en", "pt"}
+        assert model.coefficients["query_intent"].keys() == {"GroupTopic", "PersonName"}
+        assert model.coefficients["doc_source_type"].keys() == {"UN"}
 
-    def test_unseen_category_hits_unknown_slot(self):
-        encoding = FeatureEncoding.from_segments([SEG_A, SEG_B])
-        stranger = SegmentKey("ZZ", "en", Intent.GROUP_TOPIC, SourceType.UN)
-        x = encoding.encode(stranger)
-        # the country block starts after the intercept; its unknown slot is last
-        assert x[1 + len(encoding.countries)] == 1.0
-        assert x.sum() == 5.0
+    def test_unseen_value_contributes_exactly_zero(self):
+        model = fit({SEG_A: 0.3, SEG_C: 0.5, SEG_D: 0.7})
+        unseen = ("ZZ", "xx", Intent.OTHER.value, SourceType.CN.value)
+        for i in range(len(FEATURES)):
+            values = list(SEG_A.sort_key())
+            values[i] = unseen[i]
+            stranger = SegmentKey(values[0], values[1], Intent(values[2]), SourceType(values[3]))
+            seen_sum = model.intercept
+            for j, (name, v) in enumerate(zip(FEATURES, values)):
+                if j != i:
+                    seen_sum += model.coefficients[name][v]
+            assert predict_threshold(model, stranger) == min(1.0, max(0.0, seen_sum))
+        all_unseen = SegmentKey(unseen[0], unseen[1], Intent.OTHER, SourceType.CN)
+        assert predict_threshold(model, all_unseen) == min(1.0, max(0.0, model.intercept))
 
-    def test_distinct_segments_get_distinct_vectors(self):
-        encoding = FeatureEncoding.from_segments([SEG_A, SEG_B, SEG_C])
-        xs = [tuple(encoding.encode(s)) for s in (SEG_A, SEG_B, SEG_C)]
-        assert len(set(xs)) == 3
+
+def linear_part(model, segment):
+    """The model's prediction for a fitted segment before clamping."""
+    return model.intercept + sum(
+        model.coefficients[name][value] for name, value in zip(FEATURES, segment.sort_key())
+    )
 
 
 class TestFit:
@@ -178,26 +193,26 @@ class TestFit:
                 for _ in range(80)
             }
         )[:50]
-        encoding = FeatureEncoding.from_segments(segments)
-        beta_star = rng.uniform(-1, 1, size=encoding.length)
+        planted_intercept = float(rng.uniform(-1, 1))
+        planted = {}
+        for i, name in enumerate(FEATURES):
+            values = sorted({s.sort_key()[i] for s in segments})
+            planted[name] = {v: float(rng.uniform(-1, 1)) for v in values}
         targets = {
-            seg: float(encoding.encode(seg) @ beta_star) for seg in segments
+            seg: planted_intercept
+            + sum(planted[name][v] for name, v in zip(FEATURES, seg.sort_key()))
+            for seg in segments
         }
         model = fit(targets)
         for seg in segments:
-            planted = float(encoding.encode(seg) @ beta_star)
-            fitted = float(model.encoding.encode(seg) @ model.beta)
-            assert abs(fitted - planted) <= 1e-6
+            assert abs(linear_part(model, seg) - targets[seg]) <= 1e-6
 
     def test_reported_mse_matches_recomputation(self):
         rng = np.random.default_rng(5)
         segments = [SEG_A, SEG_B, SEG_C]
         targets = {seg: float(rng.uniform(0.2, 0.8)) for seg in segments}
         model = fit(targets)
-        residuals = [
-            float(model.encoding.encode(s) @ model.beta) - targets[s]
-            for s in sorted(segments, key=SegmentKey.sort_key)
-        ]
+        residuals = [linear_part(model, s) - targets[s] for s in segments]
         assert model.fit_report.mse == pytest.approx(
             float(np.mean(np.square(residuals))), abs=1e-12
         )
@@ -210,16 +225,18 @@ class TestFit:
         segments = [SEG_A, SEG_B, SEG_C]
         targets = {seg: float(rng.uniform(0.2, 0.8)) for seg in segments}
         model = fit(targets)
-        ordered = sorted(segments, key=SegmentKey.sort_key)
-        X = np.vstack([model.encoding.encode(s) for s in ordered])
-        y = np.array([targets[s] for s in ordered])
-        base_mse = float(np.mean((X @ model.beta - y) ** 2))
-        for j in range(len(model.beta)):
-            for step in (1e-3, -1e-3):
-                beta = model.beta.copy()
-                beta[j] += step
-                perturbed = float(np.mean((X @ beta - y) ** 2))
-                assert perturbed >= base_mse - 1e-9
+
+        def mse(m):
+            return float(np.mean([(linear_part(m, s) - targets[s]) ** 2 for s in segments]))
+
+        base_mse = mse(model)
+        for step in (1e-3, -1e-3):
+            assert mse(replace(model, intercept=model.intercept + step)) >= base_mse - 1e-9
+            for name, coefs in model.coefficients.items():
+                for value in coefs:
+                    shifted = {**coefs, value: coefs[value] + step}
+                    perturbed = replace(model, coefficients={**model.coefficients, name: shifted})
+                    assert mse(perturbed) >= base_mse - 1e-9
 
     def test_single_segment_is_degenerate(self):
         with pytest.raises(GuardrailError, match="got 1"):
@@ -235,13 +252,26 @@ class TestPredict:
 
     def test_clamping_to_unit_interval(self):
         model = fit({SEG_A: 0.4, SEG_B: 0.6})
-        object.__setattr__(model, "beta", model.beta * 50.0)
-        assert predict_threshold(model, SEG_B) == 1.0
+        scaled = replace(
+            model,
+            intercept=model.intercept * 50.0,
+            coefficients={
+                name: {v: c * 50.0 for v, c in coefs.items()}
+                for name, coefs in model.coefficients.items()
+            },
+        )
+        assert predict_threshold(scaled, SEG_B) == 1.0
 
     def test_prediction_is_plain_dot_product(self):
+        """The prediction equals the dot product of the intercept-plus-one-hot
+        vector over every (feature, seen value) with the model's parameters."""
         model = fit({SEG_A: 0.3, SEG_B: 0.5, SEG_C: 0.7})
+        columns = [(name, v) for name, coefs in model.coefficients.items() for v in coefs]
+        params = np.array([model.intercept] + [model.coefficients[n][v] for n, v in columns])
         for seg in (SEG_A, SEG_B, SEG_C):
-            manual = float(model.encoding.encode(seg) @ model.beta)
+            features = set(zip(FEATURES, seg.sort_key()))
+            x = np.array([1.0] + [1.0 if c in features else 0.0 for c in columns])
+            manual = float(x @ params)
             assert abs(predict_threshold(model, seg) - min(1.0, max(0.0, manual))) <= 1e-12
 
 
@@ -250,9 +280,17 @@ class TestModelPersistence:
         model = fit({SEG_A: 0.4, SEG_B: 0.6, SEG_C: 0.5}, p=0.9)
         path = tmp_path / "model.json"
         save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.p == model.p
-        assert loaded.encoding == model.encoding
-        np.testing.assert_allclose(loaded.beta, model.beta)
-        for seg in (SEG_A, SEG_B, SEG_C):
-            assert predict_threshold(loaded, seg) == predict_threshold(model, seg)
+        assert load_model(path) == model
+
+    def test_formats_doc_example_parses(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        example = re.search(r"## model\.json\n.*?```json\n(.*?)```", doc, re.S).group(1)
+        model = ThresholdModel.from_dict(json.loads(example))
+        assert model.coefficients.keys() == set(FEATURES)
+        assert 0.0 <= predict_threshold(model, SEG_A) <= 1.0
+
+    def test_unknown_feature_is_rejected(self):
+        payload = fit({SEG_A: 0.4, SEG_B: 0.6}).to_dict()
+        payload["coefficients"]["country"] = {"US": 0.1}
+        with pytest.raises(ValueError, match="unknown feature 'country'"):
+            ThresholdModel.from_dict(payload)
