@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Hashable, Iterable
 
 from .errors import MalformedRecord
-from .jsonl import json_bool, json_int, json_number, json_str, read_jsonl, write_jsonl
+from .jsonl import json_bool, json_int, json_number, json_object, json_str, read_jsonl, write_jsonl
 
 
 class SourceType(str, Enum):
@@ -209,7 +209,7 @@ class EngagementRecord:
             doc_id=json_str(d["doc_id"], "doc_id"),
             raw_score=json_number(d["raw_score"], "raw_score"),
             engaged=json_bool(d["engaged"], "engaged"),
-            segment=SegmentKey.from_dict(d["segment"]),
+            segment=SegmentKey.from_dict(json_object(d["segment"], "segment")),
         )
 
 

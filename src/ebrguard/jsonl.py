@@ -103,6 +103,14 @@ def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
     return records
 
 
+def _loads_object(text: str) -> dict:
+    """text parsed as JSON; TypeError unless it is an object."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
     """Every nonblank line of path, parsed as a JSON object and passed to from_dict.
 
@@ -110,24 +118,17 @@ def read_jsonl(path: str | Path, from_dict: Callable[[dict], _T]) -> list[_T]:
     TypeError; each of those, a line that is not valid JSON, and a line whose
     JSON is not an object raise MalformedRecord for that line.
     """
-
-    def parse(line: str) -> _T:
-        raw = json.loads(line)
-        if not isinstance(raw, dict):
-            raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
-        return from_dict(raw)
-
-    return read_lines(path, parse)
+    return read_lines(path, lambda line: from_dict(_loads_object(line)))
 
 
 def read_json(path: str | Path, from_dict: Callable[[dict], _T]) -> _T:
     """A whole-file JSON document at path, passed to from_dict.
 
-    Broken JSON or a KeyError, ValueError or TypeError from from_dict raises
-    MalformedRecord for the file.
+    Broken JSON, a document that is not a JSON object, or a KeyError,
+    ValueError or TypeError from from_dict raises MalformedRecord for the file.
     """
     try:
-        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return from_dict(_loads_object(Path(path).read_text(encoding="utf-8")))
     # json.JSONDecodeError is a ValueError.
     except (KeyError, ValueError, TypeError) as exc:
         raise _malformed(path, exc) from exc

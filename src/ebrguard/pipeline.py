@@ -136,20 +136,14 @@ _SOURCE_RANK = {CandidateSource.EBR: 0, CandidateSource.TEXT: 1}
 
 
 def merge_candidates(ebr: list[SearchResult], text: list[SearchResult]) -> list[SearchResult]:
-    """Dedup by doc_id keeping the higher-scored route (EBR on exact ties),
-    then sort by score desc / EBR-first / doc_id asc."""
-    best: dict[str, SearchResult] = {}
-    for row in list(ebr) + list(text):
-        cur = best.get(row.doc_id)
-        if cur is None or row.transformed_score > cur.transformed_score or (
-            row.transformed_score == cur.transformed_score
-            and _SOURCE_RANK[row.source] < _SOURCE_RANK[cur.source]
-        ):
-            best[row.doc_id] = row
-    return sorted(
-        best.values(),
-        key=lambda r: (-r.transformed_score, _SOURCE_RANK[r.source], r.doc_id),
-    )
+    """All rows sorted by score desc / EBR-first / doc_id asc, keeping each
+    doc_id's first row: the higher-scored route, EBR on exact ties."""
+    first: dict[str, SearchResult] = {}
+    for row in sorted(
+        [*ebr, *text], key=lambda r: (-r.transformed_score, _SOURCE_RANK[r.source], r.doc_id)
+    ):
+        first.setdefault(row.doc_id, row)
+    return list(first.values())
 
 
 def retrieve(

@@ -9,10 +9,10 @@ and raising it to the next larger observed score drops retention below p.
 
 The model is an intercept plus one coefficient per value of each segment
 feature (user country, language, query intent, doc source type) seen at fit
-time; a value never seen contributes 0. The coefficients are plain unweighted
-least squares, solved by normal equations with a tiny diagonal jitter for
-numerical stability. Each feature's columns sum to the intercept column, so
-the coefficients are not unique; predictions on fitted segments are.
+time; a value never seen contributes 0. The coefficients are the
+minimum-norm unweighted least-squares solution, which is unique although
+each feature's columns sum to the intercept column. When the fitted
+segments admit an exact fit, each is cut at its own target.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import EngagementRecord, SegmentKey
+from .corpus import EngagementRecord, Intent, SegmentKey, SourceType
 from .errors import GuardrailError, InvalidParameter
 from .jsonl import json_int, json_number, json_object, read_json, write_json
 
@@ -114,21 +114,29 @@ class ThresholdModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdModel":
-        report = d["fit_report"]
-        coefficients = json_object(d["coefficients"], "coefficients")
-        unknown = sorted(set(coefficients) - set(FEATURES))
+        report = json_object(d["fit_report"], "fit_report")
+        raw = json_object(d["coefficients"], "coefficients")
+        unknown = sorted(set(raw) - set(FEATURES))
         if unknown:
             raise ValueError(f"coefficients has unknown feature {unknown[0]!r}")
+        coefficients = {
+            name: {
+                value: json_number(c, f"{name} {value!r} coefficient")
+                for value, c in json_object(raw[name], name).items()
+            }
+            for name in FEATURES
+        }
+        for name, enum in (("query_intent", Intent), ("doc_source_type", SourceType)):
+            unknown = sorted(set(coefficients[name]) - {e.value for e in enum})
+            if unknown:
+                raise ValueError(f"{name} has unknown value {unknown[0]!r}")
+        p = json_number(d["p"], "p")
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"p must be in (0, 1], got {p}")
         return cls(
             intercept=json_number(d["intercept"], "intercept"),
-            coefficients={
-                name: {
-                    value: json_number(c, f"{name} {value!r} coefficient")
-                    for value, c in json_object(coefficients[name], name).items()
-                }
-                for name in FEATURES
-            },
-            p=json_number(d["p"], "p"),
+            coefficients=coefficients,
+            p=p,
             fit_report=FitReport(
                 mse=json_number(report["mse"], "mse"),
                 max_residual=json_number(report["max_residual"], "max_residual"),
@@ -137,17 +145,13 @@ class ThresholdModel:
         )
 
 
-_JITTER = 1e-8
-
-
 def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdModel:
-    """Least-squares fit of segment targets; returns the model with its fit report.
+    """Minimum-norm least-squares fit of segment targets; returns the model with its fit report.
 
     X has an intercept column, then one 0/1 column per (feature, seen value)
-    in FEATURES order and sorted value order. Solved via
-    (X'X + jitter*I) beta = X'y; the jitter is numerical stabilization for
-    the collinearity of each feature's columns with the intercept, small
-    enough (1e-8) not to act as statistical regularization.
+    in FEATURES order and sorted value order. Of the coefficient vectors
+    that minimise |X beta - y|, lstsq returns the one of least norm (the
+    pseudo-inverse solution), so no regularization constant is needed.
     """
     if len(targets) < 2:
         raise GuardrailError(f"need >= 2 segments to fit, got {len(targets)}")
@@ -162,8 +166,7 @@ def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdM
     for i, row in enumerate(rows):
         X[i, [column_of[c] for c in zip(FEATURES, row)]] = 1.0
     y = np.array([targets[s] for s in segments], dtype=np.float64)
-    gram = X.T @ X + _JITTER * np.eye(X.shape[1])
-    beta = np.linalg.solve(gram, X.T @ y)
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
     residuals = X @ beta - y
     coefficients: dict[str, dict[str, float]] = {name: {} for name in FEATURES}
     for (name, value), b in zip(columns, beta[1:]):

@@ -577,6 +577,72 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {model_path}: {message}")
 
     @pytest.mark.parametrize(
+        ("where", "value", "message"),
+        [
+            (
+                ("coefficients", "query_intent", "PersonNmae"), 0.5,
+                "query_intent has unknown value 'PersonNmae'",
+            ),
+            (
+                ("coefficients", "doc_source_type", "XN"), 0.5,
+                "doc_source_type has unknown value 'XN'",
+            ),
+            (("p",), 7, "p must be in (0, 1], got 7.0"),
+            (("p",), 0, "p must be in (0, 1], got 0.0"),
+            (("fit_report",), [1], "fit_report [1] is not an object"),
+        ],
+        ids=["misspelled-intent", "unknown-source-type", "p-above-one", "p-zero", "list-report"],
+    )
+    def test_search_model_value_out_of_range_names_file(
+        self, workdir, tmp_path, capsys, where, value, message
+    ):
+        model_path, payload = fitted_model(capsys, workdir, tmp_path)
+        parent, field = field_at(payload, where)
+        parent[field] = value
+        model_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: {message}")
+
+    def test_search_model_not_an_object_names_file(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[1, 2]\n")
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: expected a JSON object, got list")
+
+    def test_compare_report_not_an_object_names_file(self, tmp_path, capsys):
+        report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
+        control, test = tmp_path / "control.json", tmp_path / "test.json"
+        control.write_text(json.dumps(report))
+        test.write_text("[1, 2]\n")
+        code, _, err = run(capsys, "compare", str(control), str(test))
+        assert code == 1
+        assert err.startswith(f"error: {test}: expected a JSON object, got list")
+
+    def test_fit_thresholds_segment_not_an_object_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        lines = (workdir / "data" / "engagement.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["segment"] = [1]
+        log = tmp_path / "engagement.jsonl"
+        log.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+        code, _, err = run(
+            capsys, "fit-thresholds", "--log", str(log), "--min-support", "5",
+            "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {log}:2: segment [1] is not an object")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
         ("field", "value", "message"),
         [
             ("nonrec_rate", "0", "nonrec_rate '0' is not a number"),

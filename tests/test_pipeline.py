@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebrguard import (
     CandidateSource,
@@ -136,6 +138,47 @@ class TestMergeCandidates:
         text = rows(("c", 0.8), source=CandidateSource.TEXT)
         merged = merge_candidates(ebr, text)
         assert [r.doc_id for r in merged] == ["c", "a", "b"]
+
+
+_SOURCE_RANK = {CandidateSource.EBR: 0, CandidateSource.TEXT: 1}
+
+
+def reference_merge(ebr, text):
+    """The best-of merge merge_candidates replaced: dedup by doc_id keeping the
+    higher-scored route (EBR on exact ties, else the first row), then sort."""
+    best = {}
+    for row in list(ebr) + list(text):
+        cur = best.get(row.doc_id)
+        if cur is None or row.transformed_score > cur.transformed_score or (
+            row.transformed_score == cur.transformed_score
+            and _SOURCE_RANK[row.source] < _SOURCE_RANK[cur.source]
+        ):
+            best[row.doc_id] = row
+    return sorted(
+        best.values(),
+        key=lambda r: (-r.transformed_score, _SOURCE_RANK[r.source], r.doc_id),
+    )
+
+
+def result_rows(source):
+    """Rows drawn from few doc_ids and few scores, so duplicates and exact ties
+    are common; demoted tells apart two rows that tie on every sort key."""
+    return st.lists(
+        st.builds(
+            SearchResult,
+            doc_id=st.sampled_from("abcde"),
+            transformed_score=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+            source=st.just(source),
+            demoted=st.booleans(),
+        ),
+        max_size=12,
+    )
+
+
+@given(result_rows(CandidateSource.EBR), result_rows(CandidateSource.TEXT))
+@settings(max_examples=500, deadline=None)
+def test_merge_candidates_matches_reference_merge(ebr, text):
+    assert merge_candidates(ebr, text) == reference_merge(ebr, text)
 
 
 def build_fixture(docs):

@@ -1,8 +1,10 @@
 """Percentile targets and the least-squares threshold model."""
 
+import itertools
 import json
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,8 @@ from ebrguard import (
     segment_targets,
 )
 from ebrguard.errors import GuardrailError, InvalidParameter
+from ebrguard.pipeline import SigmoidParams, sigmoid_transform
+from ebrguard.synth import SyntheticSpec, generate_synthetic
 from ebrguard.thresholds import FEATURES, ThresholdModel, percentile_threshold
 
 SEG_A = SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN)
@@ -241,6 +245,45 @@ class TestFit:
     def test_single_segment_is_degenerate(self):
         with pytest.raises(GuardrailError, match="got 1"):
             fit({SEG_A: 0.5})
+
+
+@pytest.fixture(scope="module")
+def seed7_targets():
+    """Targets of the seed-7 10k-doc, 1k-query log at p=0.9 in the a=6, b=-3
+    sigmoid space: 6 segments whose design matrix has rank 6."""
+    data = generate_synthetic(SyntheticSpec(seed=7, n_docs=10_000, n_queries=1_000))
+    transform = partial(sigmoid_transform, params=SigmoidParams(a=6.0, b=-3.0))
+    return segment_targets(data.engagement_log, 0.9, transform=transform)
+
+
+def one_hot(model, values):
+    """The intercept-plus-one-hot row of values over the model's (feature, seen value) columns."""
+    present = set(zip(FEATURES, values))
+    return [1.0] + [
+        1.0 if (name, v) in present else 0.0 for name in FEATURES for v in model.coefficients[name]
+    ]
+
+
+class TestMinimumNorm:
+    def test_fitted_segments_are_cut_at_their_own_target(self, seed7_targets):
+        model = fit(seed7_targets, p=0.9)
+        X = np.array([one_hot(model, s.sort_key()) for s in seed7_targets])
+        assert len(seed7_targets) == 6 and np.linalg.matrix_rank(X) == 6
+        for seg, target in seed7_targets.items():
+            assert abs(linear_part(model, seg) - target) <= 1e-12
+        assert model.fit_report.max_residual <= 1e-12
+
+    def test_every_seen_combination_matches_the_pseudo_inverse(self, seed7_targets):
+        model = fit(seed7_targets, p=0.9)
+        segments = list(seed7_targets)
+        X = np.array([one_hot(model, s.sort_key()) for s in segments])
+        beta = np.linalg.pinv(X) @ np.array([seed7_targets[s] for s in segments])
+        for values in itertools.product(*(model.coefficients[name] for name in FEATURES)):
+            manual = float(np.array(one_hot(model, values)) @ beta)
+            raw = model.intercept + sum(
+                model.coefficients[name][v] for name, v in zip(FEATURES, values)
+            )
+            assert abs(raw - manual) <= 1e-12
 
 
 class TestPredict:
