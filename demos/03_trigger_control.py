@@ -2,18 +2,17 @@
 
 Some query intents never benefit from semantic retrieval: a person-name
 lookup against a join-a-group source mostly returns strangers. The evidence
-lives in the engagement log: those segments' engaged-score percentiles sit
-far below everyone else's. A static rule then disables EBR for the
-(intent, source type) pair and text retrieval serves the request alone.
+is on the served pages: each query is served twice, once with no trigger
+rules and once with a rule disabling EBR for (PersonName, UN), and each run
+is scored per intent with session NDCG@5 next to the number of EBR rows per
+page. With the rule, person-name pages come from text retrieval alone and
+score higher; group-topic pages are served exactly as before.
 """
-
-from functools import partial
 
 from ebrguard import (
     Intent,
     RuleSet,
     SegmentKey,
-    SigmoidParams,
     SourceType,
     SyntheticSpec,
     TriggerAction,
@@ -22,11 +21,11 @@ from ebrguard import (
     LabelStore,
     build_index,
     build_text_index,
-    diagnose_segment,
     embed_corpus,
+    evaluate_run,
     generate_synthetic,
     retrieve,
-    sigmoid_transform,
+    sessions_from_result_pages,
 )
 
 mix = {
@@ -34,39 +33,29 @@ mix = {
     SegmentKey("US", "en", Intent.GROUP_TOPIC, SourceType.UN): 0.6,
 }
 data = generate_synthetic(SyntheticSpec(seed=9, n_docs=560, n_queries=80, segment_mix=mix))
-transform = partial(sigmoid_transform, params=SigmoidParams(a=6.0, b=-3.0))
-
-# -- diagnostics: is this segment worth triggering EBR for? ------------------
-print("per-segment engaged-score diagnostics (calibrated):")
-for segment in mix:
-    report = diagnose_segment(data.engagement_log, segment, [0.5, 0.9], transform=transform)
-    q = report.score_quantiles
-    print(f"  {segment.query_intent.value:<12} engaged={report.engaged_count:<4} "
-          f"rate={report.engaged_rate:.2f}  "
-          f"p50={q['p50']:.3f}  y_50={report.thresholds[0.5]:.3f}  "
-          f"y_90={report.thresholds[0.9]:.3f}")
-print()
-
-# -- a disable rule, and what it does to retrieval ---------------------------
-rules = RuleSet([
-    TriggerRule(Intent.PERSON_NAME, SourceType.UN, TriggerAction.DISABLE,
-                note="person-name queries against unconnected groups return strangers"),
-])
 
 index = build_index(data.corpus, embed_corpus(data.corpus, d=32))
 text_index = build_text_index(data.corpus)
 store = LabelStore()
 
-counts = {"person_ebr": 0, "person_text": 0, "topic_ebr": 0, "topic_text": 0}
-for query in data.queries:
-    page = retrieve(query, index, text_index, None, rules, store)
-    kind = "person" if query.intent is Intent.PERSON_NAME else "topic"
-    for row in page.results:
-        src = "ebr" if row.source is CandidateSource.EBR else "text"
-        counts[f"{kind}_{src}"] += 1
+runs = {
+    "no rules": RuleSet(),
+    "PersonName/UN disabled": RuleSet([
+        TriggerRule(Intent.PERSON_NAME, SourceType.UN, TriggerAction.DISABLE,
+                    note="person-name queries against unconnected groups return strangers"),
+    ]),
+}
 
-print("results by query intent and retrieval source:")
-print(f"  PersonName : EBR={counts['person_ebr']:<5} Text={counts['person_text']}")
-print(f"  GroupTopic : EBR={counts['topic_ebr']:<5} Text={counts['topic_text']}")
-print("\nthe rule removes every EBR result for person-name queries;")
-print("group-topic queries keep their semantic candidates.")
+print("served pages by query intent (thresholds off, no integrity labels):")
+print(f"  {'rules':<24}{'intent':<12}{'queries':>8}{'NDCG@5':>9}{'EBR rows/page':>15}")
+for name, rules in runs.items():
+    for intent in (Intent.PERSON_NAME, Intent.GROUP_TOPIC):
+        queries = [q for q in data.queries if q.intent is intent]
+        pages = [retrieve(q, index, text_index, None, rules, store) for q in queries]
+        report = evaluate_run(sessions_from_result_pages(pages, data.judgments))
+        ebr_rows = sum(r.source is CandidateSource.EBR for page in pages for r in page.results)
+        print(f"  {name:<24}{intent.value:<12}{len(queries):>8}"
+              f"{report.ndcg_at[5]:>9.4f}{ebr_rows / len(pages):>15.2f}")
+
+print("\nthe rule removes every EBR row from person-name pages and raises their")
+print("NDCG@5; group-topic pages keep their semantic candidates and their score.")

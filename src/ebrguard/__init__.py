@@ -48,7 +48,6 @@ from .triggers import (
     RuleSet,
     TriggerAction,
     TriggerRule,
-    diagnose_segment,
     load_rules,
     save_rules,
 )

@@ -26,7 +26,7 @@ from .corpus import (
     save_judgments,
     save_queries,
 )
-from .embedder import DEFAULT_DIM, embed_corpus, load_embeddings, save_embeddings
+from .embedder import DEFAULT_DIM, MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import GuardrailError, InvalidParameter, MalformedRecord
 from .integrity import (
     IntegrityLabel,
@@ -119,6 +119,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
             args.embeddings, None, f"doc_id {unknown!r} is not in corpus {args.corpus}"
         )
     index = build_index(docs, embeddings)
+    # Queries are embedded at the file's dimension, so a file the query tower
+    # cannot embed into fails here rather than at the first query.
+    if docs and index.dim < MIN_DIM:
+        raise MalformedRecord(
+            args.embeddings, None, f"dimension {index.dim} is below the embedder's minimum {MIN_DIM}"
+        )
     store = load_labels(args.labels) if args.labels else LabelStore()
     # Labels for unknown docs are not an error (a label log may cover a larger
     # corpus), but they change nothing, so the summary says how many there were.

@@ -36,6 +36,8 @@ from .errors import InvalidParameter
 from .jsonl import read_lines
 
 DEFAULT_DIM = 64
+# The smallest dimension either tower embeds into; search checks embeddings.tsv against it.
+MIN_DIM = 8
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -72,8 +74,8 @@ def _basis_vector(d: int) -> np.ndarray:
 
 
 def _check_dim(d: int) -> None:
-    if d < 8:
-        raise InvalidParameter(f"dimension {d} too small, need d >= 8")
+    if d < MIN_DIM:
+        raise InvalidParameter(f"dimension {d} too small, need d >= {MIN_DIM}")
 
 
 def _embed(lowered: str, salted: int, d: int, slots: dict[str, tuple[int, float]]) -> np.ndarray:
@@ -149,7 +151,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
         if doc_id in out:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
         try:
-            v = np.array([float(x) for x in values.split(",")], dtype=np.float64)
+            v = np.array(values.split(","), dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"bad vector value: {exc}") from exc
         if not np.all(np.isfinite(v)):
@@ -167,7 +169,4 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
 def save_embeddings(embeddings: dict[str, np.ndarray], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for doc_id, v in embeddings.items():
-            fh.write(doc_id)
-            fh.write("\t")
-            fh.write(",".join(repr(float(x)) for x in v))
-            fh.write("\n")
+            fh.write(f"{doc_id}\t{','.join(map(repr, v.tolist()))}\n")

@@ -1,5 +1,4 @@
-"""Static rules deciding whether EBR fires for an (intent, source type) pair,
-plus the per-segment diagnostic that justifies disabling decisions.
+"""Static rules deciding whether EBR fires for an (intent, source type) pair.
 
 Rules are analyst-written configuration (a rules.jsonl file), not learned.
 An optional country field narrows a rule to one user country; the most
@@ -8,17 +7,14 @@ specific matching rule wins, and the default with no match is Enable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-import numpy as np
-
-from .corpus import EngagementRecord, Intent, SegmentKey, SourceType, reject_repeats
+from .corpus import Intent, SourceType, reject_repeats
 from .errors import GuardrailError
 from .jsonl import json_opt_str, json_str, read_jsonl, write_jsonl
-from .thresholds import percentile_threshold
 
 
 class TriggerAction(str, Enum):
@@ -116,62 +112,6 @@ DEFAULT_RULES = RuleSet(
         ),
     ]
 )
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    """Evidence summary for one segment: is its engaged-score mass worth keeping?"""
-
-    segment: SegmentKey
-    engaged_count: int
-    engaged_rate: float
-    score_quantiles: dict[str, float] = field(default_factory=dict)
-    thresholds: dict[float, float] = field(default_factory=dict)
-
-
-def diagnose_segment(
-    log: Sequence[EngagementRecord],
-    segment: SegmentKey,
-    p_grid: Sequence[float],
-    *,
-    transform: Callable[[float], float] | None = None,
-) -> DiagnosticReport:
-    """Deterministic engaged-score summary for one segment.
-
-    thresholds[p] uses the same percentile rule as segment_targets, so the
-    diagnostic agrees exactly with what threshold fitting would produce.
-    Segments with zero engaged records report empty quantiles.
-    """
-    total = 0
-    engaged_scores: list[float] = []
-    for rec in log:
-        if rec.segment != segment:
-            continue
-        total += 1
-        if rec.engaged:
-            score = rec.raw_score if transform is None else transform(rec.raw_score)
-            engaged_scores.append(score)
-    if not engaged_scores:
-        return DiagnosticReport(
-            segment=segment,
-            engaged_count=0,
-            engaged_rate=0.0,
-        )
-    arr = np.asarray(engaged_scores, dtype=np.float64)
-    quantiles = {
-        "min": float(arr.min()),
-        "p25": float(np.quantile(arr, 0.25)),
-        "p50": float(np.quantile(arr, 0.50)),
-        "p75": float(np.quantile(arr, 0.75)),
-        "max": float(arr.max()),
-    }
-    return DiagnosticReport(
-        segment=segment,
-        engaged_count=len(engaged_scores),
-        engaged_rate=len(engaged_scores) / total,
-        score_quantiles=quantiles,
-        thresholds={float(p): percentile_threshold(engaged_scores, p) for p in p_grid},
-    )
 
 
 def load_rules(path: str | Path) -> RuleSet:

@@ -776,6 +776,36 @@ class TestBadInputExitsOne:
         assert err.startswith(f"error: {embeddings}: ")
         assert "'zzz_unknown'" in err
 
+    def test_search_embeddings_below_embedder_minimum_names_file(
+        self, workdir, tmp_path, capsys
+    ):
+        data = workdir / "data"
+        corpus = data / "corpus.jsonl"
+        doc_ids = [json.loads(line)["doc_id"] for line in corpus.read_text().splitlines()]
+        embeddings = tmp_path / "embeddings.tsv"
+        embeddings.write_text("".join(f"{d}\t1.0,0.5,0.0,0.25\n" for d in doc_ids))
+        code, _, err = run(
+            capsys, "search", "--queries", str(data / "queries.jsonl"),
+            "--corpus", str(corpus), "--embeddings", str(embeddings),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {embeddings}: dimension 4 is below")
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_search_empty_corpus_and_embeddings_has_no_dimension_to_check(
+        self, workdir, tmp_path, capsys
+    ):
+        corpus, embeddings = tmp_path / "corpus.jsonl", tmp_path / "embeddings.tsv"
+        corpus.write_text("")
+        embeddings.write_text("")
+        code, _, _ = run(
+            capsys, "search", "--queries", str(workdir / "data" / "queries.jsonl"),
+            "--corpus", str(corpus), "--embeddings", str(embeddings),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 0
+
     def test_compare_truncated_report_names_file(self, tmp_path, capsys):
         report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
         control, truncated = tmp_path / "control.json", tmp_path / "test.json"

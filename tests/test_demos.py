@@ -17,10 +17,12 @@ CLI_BLOCK = re.search(r"## CLI\n.*?```bash\n(.*?)```", README, re.S).group(1)
 
 
 def run_python(argv, cwd=ROOT):
+    """Run python with argv, turning warnings into errors as the pytest config does."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
 
 

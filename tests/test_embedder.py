@@ -1,9 +1,12 @@
 """The trigram-hash embedder: determinism, norms, and cosine structure."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebrguard import (
     SyntheticSpec,
@@ -213,4 +216,26 @@ class TestEmbeddingFiles:
         assert list(loaded) == list(vectors)
         for doc_id, v in vectors.items():
             assert loaded[doc_id].dtype == v.dtype
+            assert loaded[doc_id].tobytes() == v.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @example([[5e-324, -5e-324, -0.0, 0.0, sys.float_info.max, -sys.float_info.max]])
+    @example([[2.225073858507201e-308, sys.float_info.min, 0.1, 1 / 3, -1e-310]])
+    def test_round_trip_is_bit_exact_for_any_finite_vector(self, tmp_path_factory, rows):
+        """Subnormals, -0.0 and +-max survive the repr write and the numpy parse."""
+        vectors = {f"d{i}": np.array(row, dtype=np.float64) for i, row in enumerate(rows)}
+        path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+        save_embeddings(vectors, path)
+        loaded = load_embeddings(path)
+        assert list(loaded) == list(vectors)
+        for doc_id, v in vectors.items():
             assert loaded[doc_id].tobytes() == v.tobytes()
