@@ -81,4 +81,5 @@ print(f"\nthreshold customization vs control, NDCG@5: "
 
 print("\nnote: trigger control mutes an entire intent, so its sign depends on")
 print("whether that intent's EBR was genuinely junky on the corpus at hand.")
-print("Decide from the engaged-score diagnostics (demo 03), not from hope.")
+print("Decide from demo 03's per-intent pages served with and without the rule,")
+print("not from hope.")

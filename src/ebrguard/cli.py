@@ -27,7 +27,7 @@ from .corpus import (
     save_queries,
 )
 from .embedder import DEFAULT_DIM, MIN_DIM, embed_corpus, load_embeddings, save_embeddings
-from .errors import GuardrailError, InvalidParameter, MalformedRecord
+from .errors import GuardrailError, MalformedRecord
 from .integrity import (
     IntegrityLabel,
     LabelReason,
@@ -85,10 +85,10 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_thresholds(args: argparse.Namespace) -> int:
-    if not 0.0 < args.p <= 1.0:
-        raise InvalidParameter(f"p must be in (0, 1], got {args.p}")
     params = SigmoidParams(a=args.sigmoid_a, b=args.sigmoid_b)
     log = load_engagement_log(args.log)
+    if not log:
+        raise MalformedRecord(args.log, None, "engagement log is empty")
     targets = segment_targets(
         log,
         args.p,
@@ -117,6 +117,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if unknown is not None:
         raise MalformedRecord(
             args.embeddings, None, f"doc_id {unknown!r} is not in corpus {args.corpus}"
+        )
+    missing = next((d.doc_id for d in docs if d.doc_id not in embeddings), None)
+    if missing is not None:
+        raise MalformedRecord(
+            args.embeddings, None, f"no embedding for doc_id {missing!r} of corpus {args.corpus}"
         )
     index = build_index(docs, embeddings)
     # Queries are embedded at the file's dimension, so a file the query tower
@@ -162,6 +167,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pages = read_jsonl(args.results, ResultPage.from_dict)
+    if not pages:
+        raise MalformedRecord(args.results, None, "no result pages to evaluate")
     reject_repeats(args.results, (p.query_id for p in pages), "query_id")
     judgments = load_judgments(args.judgments)
     sessions = evaluation.sessions_from_result_pages(pages, judgments)

@@ -24,20 +24,13 @@ class SourceType(str, Enum):
 
 
 class Intent(str, Enum):
-    """Closed query-intent taxonomy; unknown intents map to OTHER."""
+    """Closed query-intent taxonomy."""
 
     PERSON_NAME = "PersonName"
     GROUP_TOPIC = "GroupTopic"
     CELEBRITY_CONNECTED = "CelebrityConnected"
     FRIEND_PHOTO = "FriendPhoto"
     OTHER = "Other"
-
-    @classmethod
-    def parse(cls, value: str) -> "Intent":
-        try:
-            return cls(value)
-        except ValueError:
-            return cls.OTHER
 
 
 class FailureCategory(str, Enum):
@@ -50,14 +43,6 @@ class FailureCategory(str, Enum):
     UNTRUSTWORTHY = "Untrustworthy"
     OFFENSIVE = "Offensive"
 
-
-JUNKINESS_CATEGORIES = frozenset(
-    {
-        FailureCategory.FUZZY_TEXT_MATCH,
-        FailureCategory.LOCATION_MISMATCH,
-        FailureCategory.LANGUAGE_MISMATCH,
-    }
-)
 
 INTEGRITY_CATEGORIES = frozenset(
     {
@@ -90,7 +75,7 @@ class SegmentKey:
         return cls(
             user_country=json_str(d["user_country"], "user_country"),
             language=json_str(d["language"], "language"),
-            query_intent=Intent.parse(json_str(d["query_intent"], "query_intent")),
+            query_intent=Intent(json_str(d["query_intent"], "query_intent")),
             doc_source_type=SourceType(d["doc_source_type"]),
         )
 
@@ -175,7 +160,7 @@ class Query:
             language=json_str(d["language"], "language"),
             country=json_str(d["country"], "country"),
             region=json_str(d["region"], "region"),
-            intent=Intent.parse(json_str(d["intent"], "intent")),
+            intent=Intent(json_str(d["intent"], "intent")),
         )
 
 
@@ -285,7 +270,10 @@ def save_queries(queries: Iterable[Query], path: str | Path) -> None:
 
 
 def load_judgments(path: str | Path) -> list[RelevanceJudgment]:
-    return read_jsonl(path, RelevanceJudgment.from_dict)
+    """Read judgments.jsonl; a (query_id, doc_id) pair graded twice is an error."""
+    judgments = read_jsonl(path, RelevanceJudgment.from_dict)
+    reject_repeats(path, ((j.query_id, j.doc_id) for j in judgments), "(query_id, doc_id)")
+    return judgments
 
 
 def save_judgments(judgments: Iterable[RelevanceJudgment], path: str | Path) -> None:

@@ -695,6 +695,63 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {queries}:2: {field} 7 is not a string")
 
+    def test_search_query_with_unknown_intent_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        """A misspelled intent is not read as Other, which would serve the
+        query under another cohort's trigger rules and thresholds."""
+        lines = (workdir / "data" / "queries.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["intent"] = "Personname"
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+        out = tmp_path / "results.jsonl"
+        code, _, err = run(
+            capsys, "search", "--queries", str(queries), *search_inputs(workdir)[2:],
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {queries}:2: 'Personname' is not a valid Intent\n"
+        assert not out.exists()
+
+    def test_fit_thresholds_log_with_unknown_intent_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        lines = (workdir / "data" / "engagement.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["segment"]["query_intent"] = "Personname"
+        log = tmp_path / "engagement.jsonl"
+        log.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+        code, _, err = run(
+            capsys, "fit-thresholds", "--log", str(log), "--min-support", "5",
+            "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 1
+        assert err == f"error: {log}:2: 'Personname' is not a valid Intent\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_fit_thresholds_empty_log_names_file(self, tmp_path, capsys):
+        log = tmp_path / "engagement.jsonl"
+        log.write_text("")
+        code, _, err = run(
+            capsys, "fit-thresholds", "--log", str(log), "--out", str(tmp_path / "model.json")
+        )
+        assert code == 1
+        assert err == f"error: {log}: engagement log is empty\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_evaluate_empty_results_names_file(self, workdir, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_text("\n")
+        code, _, err = run(
+            capsys, "evaluate", "--results", str(results),
+            "--judgments", str(workdir / "data" / "judgments.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {results}: ")
+        assert not (tmp_path / "report.json").exists()
+
     def test_build_index_small_dim_on_empty_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("")
@@ -775,6 +832,23 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {embeddings}: ")
         assert "'zzz_unknown'" in err
+
+    def test_search_embeddings_without_a_corpus_doc_names_file_and_id(
+        self, workdir, tmp_path, capsys
+    ):
+        built = (workdir / "index" / "embeddings.tsv").read_text().splitlines(keepends=True)
+        dropped = built[100].split("\t")[0]
+        embeddings = tmp_path / "embeddings.tsv"
+        embeddings.write_text("".join(built[:100] + built[101:]))
+        data = workdir / "data"
+        code, _, err = run(
+            capsys, "search", "--queries", str(data / "queries.jsonl"),
+            "--corpus", str(data / "corpus.jsonl"), "--embeddings", str(embeddings),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {embeddings}: no embedding for doc_id {dropped!r}")
+        assert not (tmp_path / "results.jsonl").exists()
 
     def test_search_embeddings_below_embedder_minimum_names_file(
         self, workdir, tmp_path, capsys

@@ -62,10 +62,6 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             RelevanceJudgment("q1", "d1", 2, FailureCategory.OFFENSIVE)
 
-    def test_unknown_intent_maps_to_other(self):
-        assert Intent.parse("BrandNewIntent") is Intent.OTHER
-        assert Intent.parse("PersonName") is Intent.PERSON_NAME
-
 
 class TestLoadCorpus:
     def test_empty_file_gives_empty_list(self, tmp_path):
@@ -162,6 +158,20 @@ class TestRoundTrips:
         path = tmp_path / "j.jsonl"
         save_judgments(judgments, path)
         assert load_judgments(path) == judgments
+
+    def test_judgments_grading_a_pair_twice_is_an_error(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        save_judgments(
+            [RelevanceJudgment("q1", "d1", 3), RelevanceJudgment("q1", "d2", 1),
+             RelevanceJudgment("q1", "d1", 0)],
+            path,
+        )
+        with pytest.raises(MalformedRecord) as err:
+            load_judgments(path)
+        assert err.value.line_no is None
+        assert str(err.value) == (
+            f"{path}: (query_id, doc_id) ('q1', 'd1') is on more than one line"
+        )
 
     def test_engagement_round_trip(self, tmp_path):
         records = [
