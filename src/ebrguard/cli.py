@@ -95,6 +95,13 @@ def _cmd_fit_thresholds(args: argparse.Namespace) -> int:
         min_support=args.min_support,
         transform=partial(sigmoid_transform, params=params),
     )
+    if len(targets) < 2:
+        raise MalformedRecord(
+            args.log,
+            None,
+            f"need >= 2 segments with --min-support {args.min_support} engaged records "
+            f"to fit, got {len(targets)}",
+        )
     model = fit(targets, p=args.p)
     save_model(model, args.out)
     rep = model.fit_report

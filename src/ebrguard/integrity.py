@@ -98,8 +98,8 @@ def apply_index_removal(index: Index, store: LabelStore) -> tuple[Index, int]:
     Returns the new index and the count of entries newly removed, so a
     second application reports 0. Idempotent.
     """
-    present = [doc_id for doc_id in store.removable_ids() if doc_id in index]
-    return index.remove_many(present), len(present)
+    after = index.remove_many(store.removable_ids())
+    return after, len(index) - len(after)
 
 
 _R = TypeVar("_R")

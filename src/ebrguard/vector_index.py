@@ -1,31 +1,74 @@
-"""Exhaustive cosine top-k retrieval with physical removal support.
+"""Exact cosine top-k retrieval with removal by live mask.
 
-Desk scale (up to ~100k documents) makes an exact scan both fast enough and
+Desk scale (up to ~100k documents) makes an exact answer both fast enough and
 exactly reproducible, which golden tests rely on. The index is immutable for
-query purposes; remove_many() returns a new value (copy-on-write), so concurrent
-top-k calls on one index value are safe.
+query purposes; remove_many() returns a new value, so concurrent top-k calls
+on one index value are safe.
 
 EBR retrieves per source type, so the index is one block per source type: a
-doc_id array and its unit-norm rows, both in corpus order. Only build_index
-and remove_many build an Index, and build_index is the one place rows are
-checked and scaled. Every top-k call names a source type and scores that
-block with a single matrix-vector product and hands the scores to best_k,
-which takes every row scoring at least the k-th score (np.partition;
-tie-complete, so all rows tied at the boundary reach the final sort) and
-sorts only that pool by (-score, doc_id), the order merge_candidates also
-uses. search_text selects with the same best_k, keyed by doc ranks that
-follow doc_id order, so its order is (-score, doc_id) too. remove_many()
-copies only the blocks that lose a doc, drops a block that empties, and
-shares the rest.
+doc_id array, its unit-norm float64 rows (the score of record) and a float32
+copy of those rows, in corpus order, each a view of one array built grouped
+by source type. Only build_index and remove_many build an Index, and
+build_index is the one place rows are checked and scaled. The rows never
+change after the build: remove_many shares every array and returns a value
+with a new live mask. Dead rows are never compacted; the index never grows,
+so they never outnumber the rows built.
 
-Scores are bit-exact with a per-source brute-force scan, and must stay so.
-OpenBLAS's gemv sums the last rows of a matrix in a different order, so a
-row's score bits depend on the shape of the matrix it is scanned in, not on
-the row alone. A block is therefore always exactly its source type's live
-rows in corpus order: a block that lost no doc is the same array as before,
-and a block that did is rebuilt from its remaining rows in the same order.
-Scanning a block in another order, or batching queries into one
-matrix-matrix product, changes score bits.
+Score of record. A doc's raw_score is its row of the live block, in corpus
+order, scanned against the unit query with one single-threaded
+np.clip(rows @ q_unit, -1, 1), and must stay bit for bit so. OpenBLAS's
+gemv gives each row the bits of its 4-row kernel, except the last n % 4 rows
+of the matrix, which go through the remainder kernels. So a row's bits
+depend on where it sits in the matrix, and on the BLAS thread count:
+OpenBLAS threads a gemv only from m * n >= 460,800 (7,200 rows at d=64), and
+each thread's share has a tail of its own.
+
+topk in three steps:
+
+1. Screen. Scan the float32 rows against the float32 query, set dead rows
+   to -inf, and take the k-th score kth32 (np.partition). Pool every row
+   with s32 >= kth32 - 2B. With k >= n_live there is nothing to screen: the
+   pool is every live row.
+2. Rescore the pool in float64, laid out so that each pooled row gets the
+   bits the full scan of the live block gives it: the pooled rows of the
+   main region (all live rows but the last n_live % 4), zero-padded to a
+   multiple of 4 rows and to at least 4, followed by the last n_live % 4
+   live rows in order, pooled or not. A block with fewer than 4 live rows
+   is rescored as those rows alone, which is its full scan. The matrix is
+   scanned in chunks of a multiple of 4 rows under _CHUNK_ELEMENTS values
+   (1,024 rows at d=64), well below the threading cut-over, and the tail
+   rides in the last chunk; so k >= n_live takes the same path, and scores
+   are those of a single-threaded full scan whatever the thread count.
+3. best_k over the pool: every entry scoring at least the k-th score
+   (tie-complete) is sorted by (-score, doc_id), the order merge_candidates
+   also uses. search_text selects with the same best_k, keyed by doc ranks
+   that follow doc_id order, so its order is (-score, doc_id) too.
+
+The margin B (screen_margin). Let r be a float64 unit row, q the float64
+unit query and qn = max(1, |q|); qn is 1 up to rounding unless |q|**2
+underflowed when q was scaled. s32 sums the d products of r and q, each
+rounded to float32, in any order. Each term carries at most d + 2 roundings
+(row, query, product, and at most d - 1 additions on its path), so
+|s32 - r.q| <= gamma(d + 2) * sum|r_i q_i| <= gamma(d + 2) * qn, with
+gamma(n) = n u / (1 - n u), u = 2**-24 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sec. 3.1), whatever order the float32 sum
+takes, threaded or not. The score of record s64 is r.q rounded in float64,
+then clipped, which moves it by at most qn - 1 and rounding. So
+B = gamma(d + 2) * (1 + 2**-10) * qn + (qn - 1): the slack of at least
+(d + 2) * 2**-34 covers the float64 side with room to spare (the rounding
+of |r| and |q| away from 1, of s64 and of the cut kth32 - 2B, each under
+(d + 2) * 2**-52) and float32 underflow (under 3 d * 2**-150). B is about
+3.9e-6 at d=64, 66 float32 ulps just below 1.
+
+Why 2B suffices. At least k live rows have s32 >= kth32, so at least k have
+s64 >= kth32 - B; the k-th float64 score S_k is therefore >= kth32 - B. A
+row best_k would take over the whole block has s64 >= S_k, so its
+s32 >= S_k - B >= kth32 - 2B: it is in the pool. The cut kth32 - 2B is
+formed in float64 and rounded down to float32 before the float32
+comparison, so rounding cannot tighten it.
+
+Scanning rows in another layout, or batching queries into one matrix-matrix
+product, changes score bits.
 """
 
 from __future__ import annotations
@@ -38,6 +81,10 @@ import numpy as np
 
 from .corpus import Document, SourceType, first_repeat
 from .errors import GuardrailError, InvalidParameter
+
+# Values per rescore chunk: a multiple of 4 rows this size stays far below
+# OpenBLAS's threaded-gemv cut-over of m * n >= 460,800.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class CandidateSource(str, Enum):
@@ -52,52 +99,123 @@ class Candidate:
     source: CandidateSource
 
 
-class Index:
-    """(doc_id, embedding, source_type) entries as one (ids, rows) block per source type.
+def screen_margin(dim: int) -> float:
+    """B at |q_unit| <= 1: the most a float32 screen score can differ from
+    the float64 score of record (module docstring)."""
+    n = (dim + 2) * 2.0**-24
+    return n / (1.0 - n) * (1.0 + 2.0**-10)
 
-    Built only by build_index and remove_many. A block holds a doc_id object
-    array and the checked unit-norm rows, both in corpus order; only source
-    types with a live doc have one. _source_of maps each live doc_id to its type.
+
+class _Block:
+    """One source type's rows, and which of them are live in one index value.
+
+    ids, rows (float64 unit rows) and screen (their float32 copy) are views
+    of the build's arrays at span; live_pos and dead are the positions in the
+    block that the index's live mask, at span, marks live and dead.
+    """
+
+    __slots__ = ("span", "ids", "rows", "screen", "live_pos", "dead")
+
+    def __init__(self, span: slice, ids, rows, screen, live: np.ndarray) -> None:
+        self.span, self.ids, self.rows, self.screen = span, ids, rows, screen
+        self.live_pos = np.flatnonzero(live)
+        self.dead = np.flatnonzero(~live)
+
+    def with_live(self, live: np.ndarray) -> "_Block":
+        """This block under the index-wide live mask `live`."""
+        return _Block(self.span, self.ids, self.rows, self.screen, live[self.span])
+
+    def pool(self, q_unit: np.ndarray, k: int) -> np.ndarray:
+        """Positions of the live rows whose float32 score is within 2B of
+        the k-th: a superset of best_k's pool over the float64 scores."""
+        if k >= len(self.live_pos):
+            return self.live_pos
+        scores = self.screen @ q_unit.astype(np.float32)
+        scores[self.dead] = -np.inf
+        n = len(scores)
+        qn = max(1.0, float(np.sqrt(q_unit @ q_unit)))
+        margin = screen_margin(q_unit.size) * qn + (qn - 1.0)
+        cut = float(np.partition(scores, n - k)[n - k]) - 2.0 * margin
+        cut32 = np.float32(cut)
+        if cut32 > cut:
+            cut32 = np.nextafter(cut32, np.float32(-np.inf))
+        return np.flatnonzero(scores >= cut32)
+
+    def rescore(self, pool: np.ndarray, q_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, float64 scores) of the pool plus the tail rows, each
+        score bit-equal to the row's in a full scan of the live rows."""
+        live_pos = self.live_pos
+        n_live = len(live_pos)
+        if n_live < 4:
+            return live_pos, np.clip(self.rows[live_pos] @ q_unit, -1.0, 1.0)
+        split = n_live - n_live % 4
+        tail = live_pos[split:]
+        main = pool[: np.searchsorted(pool, tail[0])] if len(tail) else pool
+        padded = max(4, -(-len(main) // 4) * 4)
+        matrix = np.zeros((padded + len(tail), self.rows.shape[1]))
+        matrix[: len(main)] = self.rows[main]
+        matrix[padded:] = self.rows[tail]
+        step = max(4, _CHUNK_ELEMENTS // self.rows.shape[1] // 4 * 4)
+        last = (padded - 1) // step * step
+        scores = np.empty(len(matrix))
+        for start in range(0, last, step):
+            scores[start : start + step] = matrix[start : start + step] @ q_unit
+        scores[last:] = matrix[last:] @ q_unit
+        np.clip(scores, -1.0, 1.0, out=scores)
+        return (
+            np.concatenate((main, tail)),
+            np.concatenate((scores[: len(main)], scores[padded:])),
+        )
+
+
+class Index:
+    """(doc_id, embedding, source_type) entries as one _Block per source type.
+
+    Built only by build_index and remove_many. The build lays rows out
+    grouped by source type, in corpus order within a type; _where maps each
+    doc_id built to its row in that layout and is shared by every value
+    derived from the build, and _live marks this value's live rows.
     """
 
     def __init__(
-        self, blocks: dict[SourceType, tuple[np.ndarray, np.ndarray]], source_of: dict, dim: int
+        self, blocks: dict[SourceType, _Block], where: dict[str, int], live: np.ndarray, dim: int
     ) -> None:
         self._blocks = blocks
-        self._source_of = source_of
+        self._where = where
+        self._live = live
         self._dim = dim
+        self._present = frozenset(st for st, b in blocks.items() if len(b.live_pos))
+        self._len = sum(len(b.live_pos) for b in blocks.values())
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def source_types_present(self) -> frozenset[SourceType]:
-        return frozenset(self._blocks)
+        return self._present
 
     def __len__(self) -> int:
-        return len(self._source_of)
+        return self._len
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._source_of
+        row = self._where.get(doc_id)
+        return row is not None and bool(self._live[row])
 
     def remove_many(self, ids: Iterable[str]) -> "Index":
         """Return an index without the docs whose ids are given.
 
         Ids that are absent (never present, or already removed) are ignored,
         so the operation is idempotent; with nothing to remove the same
-        index is returned.
+        index is returned. Rows are shared, never copied; the new value has
+        its own live mask.
         """
-        gone = {d for d in ids if d in self._source_of}
+        gone = [row for row in map(self._where.get, ids) if row is not None and self._live[row]]
         if not gone:
             return self
-        blocks = dict(self._blocks)
-        source_of = dict(self._source_of)
-        for st in {source_of.pop(d) for d in gone}:
-            block_ids, rows = blocks.pop(st)
-            keep = np.fromiter((d not in gone for d in block_ids.tolist()), bool, len(block_ids))
-            if keep.any():
-                blocks[st] = (block_ids[keep], rows[keep])
-        return Index(blocks, source_of, self._dim)
+        live = self._live.copy()
+        live[gone] = False
+        blocks = {st: b.with_live(live) for st, b in self._blocks.items()}
+        return Index(blocks, self._where, live, self._dim)
 
 
 def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) -> Index:
@@ -119,17 +237,25 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     if len(dims) > 1:
         raise GuardrailError(f"mixed embedding dimensions: {sorted(dims)}")
     dim = dims.pop() if dims else 0
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
+    members = {st: [i for i, d in enumerate(docs) if d.source_type == st] for st in SourceType}
+    order = np.array([i for m in members.values() for i in m], dtype=np.intp)
+    matrix = np.vstack([rows[i] for i in order]) if rows else np.zeros((0, dim), dtype=np.float64)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        raise InvalidParameter(f"non-finite embedding for doc_id {ids[int(np.argmin(finite))]!r}")
+        raise InvalidParameter(f"non-finite embedding for doc_id {ids[order[~finite].min()]!r}")
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     matrix /= norms
-    id_array = np.array(ids, dtype=object)
-    members = {st: [i for i, d in enumerate(docs) if d.source_type == st] for st in SourceType}
-    blocks = {st: (id_array[m], matrix[m]) for st, m in members.items() if m}
-    return Index(blocks, {d.doc_id: d.source_type for d in docs}, dim)
+    id_array = np.array(ids, dtype=object)[order]
+    screen = matrix.astype(np.float32)
+    live = np.ones(len(order), dtype=bool)
+    blocks, start = {}, 0
+    for st, m in members.items():
+        if m:
+            span = slice(start, start + len(m))
+            blocks[st] = _Block(span, id_array[span], matrix[span], screen[span], live[span])
+            start = span.stop
+    return Index(blocks, dict(zip(id_array.tolist(), range(len(order)))), live, dim)
 
 
 def topk(
@@ -149,20 +275,22 @@ def topk(
         raise InvalidParameter(f"query dim {q.shape} vs index dim {index.dim}")
     if not np.isfinite(q).all():
         raise InvalidParameter("query vector has a non-finite component")
-    if source_filter not in index._blocks:
+    if source_filter not in index._present:
         return []
-    ids, block = index._blocks[source_filter]
+    block = index._blocks[source_filter]
 
     qnorm = np.linalg.norm(q)
     if qnorm == 0.0:
-        scores = np.zeros(len(ids), dtype=np.float64)
+        positions = block.live_pos
+        scores = np.zeros(len(positions), dtype=np.float64)
     else:
         # Entries are stored unit-norm, so the dot product is the cosine.
-        scores = np.clip(block @ (q / qnorm), -1.0, 1.0)
+        q_unit = q / qnorm
+        positions, scores = block.rescore(block.pool(q_unit, k), q_unit)
 
     return [
         Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.EBR)
-        for score, doc_id in best_k(scores, ids, k)
+        for score, doc_id in best_k(scores, block.ids[positions], k)
     ]
 
 

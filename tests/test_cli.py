@@ -400,6 +400,23 @@ class TestBadInputExitsOne:
         assert field in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_fit_thresholds_with_too_few_supported_segments_names_log_and_min_support(
+        self, workdir, tmp_path, capsys
+    ):
+        record = json.loads((workdir / "data" / "engagement.jsonl").read_text().splitlines()[0])
+        record["engaged"] = False
+        log = tmp_path / "engagement.jsonl"
+        log.write_text(json.dumps(record) + "\n")
+        code, _, err = run(
+            capsys, "fit-thresholds", "--log", str(log), "--min-support", "5",
+            "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {log}: ")
+        assert "--min-support 5" in err
+        assert "got 0" in err
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize(
         ("field", "value"), [("query_id", 0), ("doc_id", 17)], ids=["int-query-id", "int-doc-id"]
     )

@@ -1,17 +1,23 @@
 """Exact top-k retrieval against brute-force oracles, plus removal semantics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ebrguard
 from ebrguard import (
     CandidateSource,
     SourceType,
     build_index,
 )
 from ebrguard.errors import GuardrailError, InvalidParameter
-from ebrguard.vector_index import Candidate, topk
+from ebrguard.vector_index import Candidate, best_k, screen_margin, topk
 from tests.test_corpus import make_doc
 
 
@@ -368,3 +374,151 @@ class TestBitExactScan:
                         for c in topk(idx, q, len(rows), source_filter=source_type)
                     }
                     assert [got[live[i].doc_id] for i in rows] == expected.tolist()
+                    ranked = sorted(zip((-expected).tolist(), (live[i].doc_id for i in rows)))
+                    for k in (1, 10):
+                        top = topk(idx, q, k, source_filter=source_type)
+                        assert [(-c.raw_score, c.doc_id) for c in top] == ranked[:k]
+
+
+def hex_pairs(pairs):
+    """(doc_id, score bits) for (score, doc_id) pairs; float.hex tells -0.0 from 0.0."""
+    return [(doc_id, float(score).hex()) for score, doc_id in pairs]
+
+
+@st.composite
+def screen_cases(draw):
+    """A corpus of one source type, a removal set and a query for the float32 screen.
+
+    Rows are random 64-dim vectors, with planted duplicates, zero rows, and a
+    cluster of rows whose scores against the query sit a step apart just
+    above every other score. The step is 1 ulp, 2**-30 or 2**-26, below
+    float32's rounding error, so the screen reorders the cluster; or B/2, B,
+    2B or 3B (B = screen_margin), so that pairs straddle the margin.
+    Removals hit random rows, the last 1-7 rows (the block's tail), the
+    cluster (the top-k rows) or every row. Doc ids are d<label> for a
+    shuffled label, so doc_id order differs from corpus order.
+    """
+    d = 64
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([4_001, 5_003, 6_998])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.normal(size=(n, d))
+    q = np.zeros(d) if draw(st.booleans()) else rng.normal(size=d)
+    q_unit = q / (np.linalg.norm(q) or 1.0)
+    margins = [m * screen_margin(d) for m in (0.5, 1, 2, 3)]
+    step = draw(st.sampled_from([2.0**-53, 2.0**-30, 2.0**-26, *margins]))
+    cluster = rng.choice(n, size=min(n, draw(st.integers(0, 12))), replace=False)
+    for j, i in enumerate(cluster):
+        other = rng.normal(size=d)
+        other -= (other @ q_unit) * q_unit
+        other /= np.linalg.norm(other)
+        score = 0.9 + j * step
+        matrix[i] = score * q_unit + np.sqrt(1.0 - score * score) * other
+    for i in rng.choice(n, size=min(n, draw(st.integers(0, 4))), replace=True):
+        matrix[i] = matrix[rng.integers(n)]
+    matrix[rng.choice(n, size=min(n, draw(st.integers(0, 2))), replace=False)] = 0.0
+    mode = draw(st.sampled_from(["none", "random", "tail", "top", "all"]))
+    removed = {
+        "none": [],
+        "random": rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False),
+        "tail": range(max(0, n - draw(st.integers(1, 7))), n),
+        "top": cluster,
+        "all": range(n),
+    }[mode]
+    labels = rng.permutation(n)
+    docs = [make_doc(f"d{label}", source_type=SourceType.CN) for label in labels]
+    return docs, matrix, q, sorted(int(i) for i in removed)
+
+
+class TestScreenOracle:
+    """The float32 screen and pooled float64 rescore against a single-threaded
+    full scan of the live rows, compacted in corpus order: same order, equal
+    raw_score bits, for k in {1, 10, n_live - 1, n_live, n_live + 3}."""
+
+    @given(screen_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_scan_of_live_rows(self, case):
+        docs, matrix, q, removed = case
+        index = build_index(docs, {doc.doc_id: row for doc, row in zip(docs, matrix)})
+        index = index.remove_many(docs[i].doc_id for i in removed)
+        live = np.setdiff1d(np.arange(len(docs)), removed)
+        assert len(index) == len(live)
+        if not len(live):
+            assert topk(index, q, 1, source_filter=SourceType.CN) == []
+            return
+        norms = np.linalg.norm(matrix[live], axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        rows = matrix[live] / norms
+        qnorm = np.linalg.norm(q)
+        scores = np.clip(rows @ (q / qnorm), -1.0, 1.0) if qnorm else np.zeros(len(live))
+        ids = np.array([docs[i].doc_id for i in live], dtype=object)
+        n_live = len(live)
+        for k in sorted({1, 10, max(1, n_live - 1), n_live, n_live + 3}):
+            got = [(c.raw_score, c.doc_id) for c in topk(index, q, k, SourceType.CN)]
+            assert hex_pairs(got) == hex_pairs(best_k(scores, ids, k))
+
+
+    @pytest.mark.parametrize("n", [30, 5_003])
+    def test_near_ties_below_float32_resolution(self, n):
+        """Ten rows 2**-30 apart at 0.9, where float32 steps by 6e-8: their
+        float32 scores tie or reorder, and the screen must keep every row
+        the float64 scores need (a screen with no margin fails this)."""
+        rng = np.random.default_rng(n)
+        d = 64
+        docs = [make_doc(f"d{i}", source_type=SourceType.CN) for i in range(n)]
+        ids = np.array([doc.doc_id for doc in docs], dtype=object)
+        for _ in range(20):
+            matrix = rng.normal(size=(n, d))
+            q = rng.normal(size=d)
+            q_unit = q / np.linalg.norm(q)
+            for j, i in enumerate(rng.choice(n, size=10, replace=False)):
+                other = rng.normal(size=d)
+                other -= (other @ q_unit) * q_unit
+                other /= np.linalg.norm(other)
+                score = 0.9 + j * 2.0**-30
+                matrix[i] = score * q_unit + np.sqrt(1 - score * score) * other
+            index = build_index(docs, dict(zip(ids, matrix)))
+            rows = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+            scores = np.clip(rows @ q_unit, -1.0, 1.0)
+            for k in (1, 5, 10):
+                got = [(c.raw_score, c.doc_id) for c in topk(index, q, k, SourceType.CN)]
+                assert hex_pairs(got) == hex_pairs(best_k(scores, ids, k))
+
+
+class TestThreadCount:
+    """Scores do not depend on the BLAS thread count.
+
+    OpenBLAS threads a gemv from m * n >= 460,800 values (7,200 rows at
+    d=64), and each thread's share of rows has its own tail, so one scan of
+    a larger block gives other score bits with 2 threads than with 1.
+    """
+
+    SCRIPT = """
+import sys
+import numpy as np
+from ebrguard import SourceType, build_index
+from ebrguard.corpus import Document
+from ebrguard.vector_index import topk
+n, d = 8_002, 64
+rng = np.random.default_rng(0)
+docs = [
+    Document(f"d{i}", "t", "", "en", "US", "south", "hiking", SourceType.UN) for i in range(n)
+]
+index = build_index(docs, {doc.doc_id: rng.normal(size=d) for doc in docs})
+out = topk(index, rng.normal(size=d), n, source_filter=SourceType.UN)
+sys.stdout.write("\\n".join(f"{c.doc_id} {c.raw_score.hex()}" for c in out))
+"""
+
+    def scores(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        src = str(Path(ebrguard.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        return done.stdout.splitlines()
+
+    def test_one_8002_row_block_scores_alike_with_1_and_2_blas_threads(self):
+        one = self.scores(1)
+        assert len(one) == 8_002
+        assert one == self.scores(2)
