@@ -68,10 +68,15 @@ class IntegrityLabel:
 
 
 class LabelStore:
-    """Single-writer label map with an append-only audit list."""
+    """Single-writer label map with an append-only audit list.
+
+    add keeps the set of doc_ids whose current label is Removable, so a
+    write costs the same however many labels there are.
+    """
 
     def __init__(self, labels: Iterable[IntegrityLabel] = ()) -> None:
         self._current: dict[str, IntegrityLabel] = {}
+        self._removable: set[str] = set()
         self.audit: list[IntegrityLabel] = []
         for lab in labels:
             self.add(lab)
@@ -79,17 +84,17 @@ class LabelStore:
     def add(self, lab: IntegrityLabel) -> IntegrityLabel:
         self.audit.append(lab)
         self._current[lab.doc_id] = lab
+        if lab.severity is Severity.REMOVABLE:
+            self._removable.add(lab.doc_id)
+        else:
+            self._removable.discard(lab.doc_id)
         return lab
 
     def lookup(self, doc_id: str) -> IntegrityLabel | None:
         return self._current.get(doc_id)
 
     def removable_ids(self) -> frozenset[str]:
-        return frozenset(
-            doc_id
-            for doc_id, lab in self._current.items()
-            if lab.severity is Severity.REMOVABLE
-        )
+        return frozenset(self._removable)
 
 
 def apply_index_removal(index: Index, store: LabelStore) -> tuple[Index, int]:

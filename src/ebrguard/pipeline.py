@@ -26,10 +26,10 @@ from .embedder import Side, embed_text
 from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
 from .jsonl import json_bool, json_list, json_number, json_str
-from .text_retrieval import InvertedIndex, search_text
+from .text_retrieval import InvertedIndex, search_text_pairs
 from .thresholds import ThresholdModel, predict_threshold
 from .triggers import RuleSet, TriggerAction
-from .vector_index import CandidateSource, Index, topk
+from .vector_index import CandidateSource, Index, topk_each
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +158,8 @@ def retrieve(
     """Run one search request through the full guarded pipeline.
 
     For each source type present in the index, trigger rules decide whether
-    EBR fires. Enabled sources contribute top-k cosine candidates, sigmoid
+    EBR fires. Enabled sources contribute top-k cosine candidates (one
+    topk_each call screens them all with one scan), sigmoid
     calibrated and discarded at the (user country, language, intent, source
     type) segment's predicted threshold; with no model the threshold is
     -inf, keeping everything. Text-retrieval candidates are merged in, the
@@ -175,7 +176,7 @@ def retrieve(
     ebr_rows: list[SearchResult] = []
     if enabled:
         query_vec = embed_text(query.text, Side.QUERY, index.dim)
-        for st in enabled:
+        for st, pairs in zip(enabled, topk_each(index, query_vec, config.k, enabled)):
             segment = SegmentKey(
                 user_country=query.country,
                 language=query.language,
@@ -187,22 +188,19 @@ def retrieve(
                 if threshold_model is not None
                 else -math.inf
             )
-            cands = topk(index, query_vec, config.k, source_filter=st)
             # One array call per result list; each element gets the scalar call's bits.
             scores = sigmoid_transform(
-                np.array([c.raw_score for c in cands], dtype=np.float64), config.sigmoid
+                np.array([score for score, _ in pairs], dtype=np.float64), config.sigmoid
             )
             rows = [
-                SearchResult(doc_id=c.doc_id, transformed_score=s, source=CandidateSource.EBR)
-                for c, s in zip(cands, scores.tolist())
+                SearchResult(doc_id=doc_id, transformed_score=s, source=CandidateSource.EBR)
+                for (_, doc_id), s in zip(pairs, scores.tolist())
             ]
             ebr_rows.extend(apply_threshold(rows, threshold))
 
     text_rows = [
-        SearchResult(
-            doc_id=c.doc_id, transformed_score=c.raw_score, source=CandidateSource.TEXT
-        )
-        for c in search_text(text_index, query, config.k)
+        SearchResult(doc_id=doc_id, transformed_score=score, source=CandidateSource.TEXT)
+        for score, doc_id in search_text_pairs(text_index, query, config.k)
     ]
     merged = merge_candidates(ebr_rows, text_rows)
     final = apply_demotion(merged, integrity_store)[: config.k]

@@ -14,6 +14,9 @@ math.sqrt(length) on Python numbers: converting these small ints to float64
 is exact, and sqrt and division are each correctly rounded. The top k come
 from the tie-complete pool of vector_index.best_k, ordered by (-score, rank),
 which is (-score, doc_id) because ranks follow doc_id order.
+
+search_text_pairs returns them as (score, doc_id) pairs, which retrieve
+turns into page rows; search_text wraps the same pairs in Candidates.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ def build_text_index(docs: Sequence[Document]) -> InvertedIndex:
 
 def search_text(index: InvertedIndex, query: Query, k: int) -> list[Candidate]:
     """Top-k docs by token overlap; zero-overlap docs never appear."""
+    return [
+        Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.TEXT)
+        for score, doc_id in search_text_pairs(index, query, k)
+    ]
+
+
+def search_text_pairs(index: InvertedIndex, query: Query, k: int) -> list[tuple[float, str]]:
+    """search_text's top k as (score, doc_id) pairs, in the same order."""
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
     hits = [index.postings[t] for t in set(tokenize(query.text)) if t in index.postings]
@@ -82,7 +93,4 @@ def search_text(index: InvertedIndex, query: Query, k: int) -> list[Candidate]:
     ranks, counts = np.unique(np.concatenate(hits), return_counts=True)
     # Only docs with at least one token are on a posting list, so no length is 0.
     scores = counts / np.sqrt(index.doc_lengths[ranks])
-    return [
-        Candidate(doc_id=index.doc_ids[rank], raw_score=score, source=CandidateSource.TEXT)
-        for score, rank in best_k(scores, ranks, k)
-    ]
+    return [(score, index.doc_ids[rank]) for score, rank in best_k(scores, ranks, k)]

@@ -6,13 +6,14 @@ query purposes; remove_many() returns a new value, so concurrent top-k calls
 on one index value are safe.
 
 EBR retrieves per source type, so the index is one block per source type: a
-doc_id array, its unit-norm float64 rows (the score of record) and a float32
-copy of those rows, in corpus order, each a view of one array built grouped
-by source type. Only build_index and remove_many build an Index, and
-build_index is the one place rows are checked and scaled. The rows never
-change after the build: remove_many shares every array and returns a value
-with a new live mask. Dead rows are never compacted; the index never grows,
-so they never outnumber the rows built.
+doc_id array and its unit-norm float64 rows (the score of record), in corpus
+order, each a view of one array built grouped by source type. The index also
+keeps the float32 copy of that whole array, which the screen reads. Only
+build_index and remove_many build an Index, and build_index is the one place
+rows are checked and scaled. The rows never change after the build:
+remove_many shares every array and returns a value with a new live mask.
+Dead rows are never compacted; the index never grows, so they never
+outnumber the rows built.
 
 Score of record. A doc's raw_score is its row of the live block, in corpus
 order, scanned against the unit query with one single-threaded
@@ -23,12 +24,23 @@ depend on where it sits in the matrix, and on the BLAS thread count:
 OpenBLAS threads a gemv only from m * n >= 460,800 (7,200 rows at d=64), and
 each thread's share has a tail of its own.
 
-topk in three steps:
+topk_each serves one request: the top k of each of several source types,
+with the query checked, scaled and the margin B formed once. topk is its
+one-source case. In three steps:
 
-1. Screen. Scan the float32 rows against the float32 query, set dead rows
-   to -inf, and take the k-th score kth32 (np.partition). Pool every row
-   with s32 >= kth32 - 2B. With k >= n_live there is nothing to screen: the
-   pool is every live row.
+1. Screen. One float32 scan, screen[lo:hi] @ q32, covers the span of every
+   requested block with k < n_live; a block with k >= n_live has nothing to
+   screen, and its pool is every live row. Each screened block sets its
+   dead rows to -inf in its slice of the scan and takes the k-th score
+   kth32 (np.partition), and pools every row with s32 >= kth32 - 2B.
+   The span of both blocks of a 10k-row index at d=64 is past OpenBLAS's
+   threaded cut-over, so the scan is split across threads, each share small
+   enough for its core's L2 cache where two per-block scans would each
+   stream the whole of theirs through one core. That gain needs the second
+   core free: OpenBLAS's worker spins for a while after a threaded call,
+   so on a 2-core host a third busy process stalls requests. B bounds a
+   float32 score whatever order its sum takes, threaded or not (below), so
+   the thread count can change the pool but never a raw_score.
 2. Rescore the pool in float64, laid out so that each pooled row gets the
    bits the full scan of the live block gives it: the pooled rows of the
    main region (all live rows but the last n_live % 4), zero-padded to a
@@ -67,14 +79,16 @@ s32 >= S_k - B >= kth32 - 2B: it is in the pool. The cut kth32 - 2B is
 formed in float64 and rounded down to float32 before the float32
 comparison, so rounding cannot tighten it.
 
-Scanning rows in another layout, or batching queries into one matrix-matrix
-product, changes score bits.
+The screen may scan rows in any layout, since the margin holds for any
+float32 summation order. Rescoring in another layout, or batching queries
+into one float64 matrix-matrix product, changes the float64 score bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -109,32 +123,31 @@ def screen_margin(dim: int) -> float:
 class _Block:
     """One source type's rows, and which of them are live in one index value.
 
-    ids, rows (float64 unit rows) and screen (their float32 copy) are views
-    of the build's arrays at span; live_pos and dead are the positions in the
-    block that the index's live mask, at span, marks live and dead.
+    ids and rows (float64 unit rows) are views of the build's arrays at span;
+    live_pos and dead are the positions in the block that the index's live
+    mask, at span, marks live and dead.
     """
 
-    __slots__ = ("span", "ids", "rows", "screen", "live_pos", "dead")
+    __slots__ = ("span", "ids", "rows", "live_pos", "dead")
 
-    def __init__(self, span: slice, ids, rows, screen, live: np.ndarray) -> None:
-        self.span, self.ids, self.rows, self.screen = span, ids, rows, screen
+    def __init__(self, span: slice, ids, rows, live: np.ndarray) -> None:
+        self.span, self.ids, self.rows = span, ids, rows
         self.live_pos = np.flatnonzero(live)
         self.dead = np.flatnonzero(~live)
 
     def with_live(self, live: np.ndarray) -> "_Block":
         """This block under the index-wide live mask `live`."""
-        return _Block(self.span, self.ids, self.rows, self.screen, live[self.span])
+        return _Block(self.span, self.ids, self.rows, live[self.span])
 
-    def pool(self, q_unit: np.ndarray, k: int) -> np.ndarray:
-        """Positions of the live rows whose float32 score is within 2B of
-        the k-th: a superset of best_k's pool over the float64 scores."""
-        if k >= len(self.live_pos):
-            return self.live_pos
-        scores = self.screen @ q_unit.astype(np.float32)
+    def pool(self, scores: np.ndarray, k: int, margin: float) -> np.ndarray:
+        """Positions of the live rows whose float32 score is within 2 * margin
+        of the k-th: a superset of best_k's pool over the float64 scores.
+
+        scores is this block's slice of the screen, k < n_live; dead rows are
+        set to -inf in it.
+        """
         scores[self.dead] = -np.inf
         n = len(scores)
-        qn = max(1.0, float(np.sqrt(q_unit @ q_unit)))
-        margin = screen_margin(q_unit.size) * qn + (qn - 1.0)
         cut = float(np.partition(scores, n - k)[n - k]) - 2.0 * margin
         cut32 = np.float32(cut)
         if cut32 > cut:
@@ -173,16 +186,23 @@ class Index:
 
     Built only by build_index and remove_many. The build lays rows out
     grouped by source type, in corpus order within a type; _where maps each
-    doc_id built to its row in that layout and is shared by every value
-    derived from the build, and _live marks this value's live rows.
+    doc_id built to its row in that layout and, like _screen (the float32
+    copy of every row), is shared by every value derived from the build.
+    _live marks this value's live rows.
     """
 
     def __init__(
-        self, blocks: dict[SourceType, _Block], where: dict[str, int], live: np.ndarray, dim: int
+        self,
+        blocks: dict[SourceType, _Block],
+        where: dict[str, int],
+        live: np.ndarray,
+        screen: np.ndarray,
+        dim: int,
     ) -> None:
         self._blocks = blocks
         self._where = where
         self._live = live
+        self._screen = screen
         self._dim = dim
         self._present = frozenset(st for st, b in blocks.items() if len(b.live_pos))
         self._len = sum(len(b.live_pos) for b in blocks.values())
@@ -207,15 +227,20 @@ class Index:
         Ids that are absent (never present, or already removed) are ignored,
         so the operation is idempotent; with nothing to remove the same
         index is returned. Rows are shared, never copied; the new value has
-        its own live mask.
+        its own live mask, and only the blocks it changes are rebuilt.
         """
-        gone = [row for row in map(self._where.get, ids) if row is not None and self._live[row]]
-        if not gone:
+        rows = np.fromiter(map(self._where.get, ids, repeat(-1)), dtype=np.intp)
+        rows = rows[rows >= 0]
+        gone = rows[self._live[rows]]
+        if not len(gone):
             return self
         live = self._live.copy()
         live[gone] = False
-        blocks = {st: b.with_live(live) for st, b in self._blocks.items()}
-        return Index(blocks, self._where, live, self._dim)
+        blocks = {
+            st: b.with_live(live) if ((gone >= b.span.start) & (gone < b.span.stop)).any() else b
+            for st, b in self._blocks.items()
+        }
+        return Index(blocks, self._where, live, self._screen, self._dim)
 
 
 def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) -> Index:
@@ -253,9 +278,9 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     for st, m in members.items():
         if m:
             span = slice(start, start + len(m))
-            blocks[st] = _Block(span, id_array[span], matrix[span], screen[span], live[span])
+            blocks[st] = _Block(span, id_array[span], matrix[span], live[span])
             start = span.stop
-    return Index(blocks, dict(zip(id_array.tolist(), range(len(order)))), live, dim)
+    return Index(blocks, dict(zip(id_array.tolist(), range(len(order)))), live, screen, dim)
 
 
 def topk(
@@ -266,8 +291,23 @@ def topk(
 ) -> list[Candidate]:
     """Exact top-k by cosine among one source type's docs, descending score,
     ties broken by ascending doc_id."""
-    if not isinstance(source_filter, SourceType):
-        raise TypeError(f"source_filter must be a SourceType, got {source_filter!r}")
+    (pairs,) = topk_each(index, query_vec, k, (source_filter,))
+    return [
+        Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.EBR)
+        for score, doc_id in pairs
+    ]
+
+
+def topk_each(
+    index: Index,
+    query_vec: np.ndarray,
+    k: int,
+    source_types: Sequence[SourceType],
+) -> list[list[tuple[float, str]]]:
+    """For each source type in source_types, in that order, its exact top-k
+    by cosine as best_k's (score, doc_id) pairs: descending score, ties
+    broken by ascending doc_id. One float32 scan screens every requested
+    block (module docstring); a source type with no live doc gets []."""
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
     q = np.asarray(query_vec, dtype=np.float64)
@@ -275,23 +315,38 @@ def topk(
         raise InvalidParameter(f"query dim {q.shape} vs index dim {index.dim}")
     if not np.isfinite(q).all():
         raise InvalidParameter("query vector has a non-finite component")
-    if source_filter not in index._present:
-        return []
-    block = index._blocks[source_filter]
+    for st in source_types:
+        if not isinstance(st, SourceType):
+            raise TypeError(f"source types must be SourceType values, got {st!r}")
+    blocks = [index._blocks[st] if st in index._present else None for st in source_types]
 
     qnorm = np.linalg.norm(q)
     if qnorm == 0.0:
-        positions = block.live_pos
-        scores = np.zeros(len(positions), dtype=np.float64)
-    else:
-        # Entries are stored unit-norm, so the dot product is the cosine.
-        q_unit = q / qnorm
-        positions, scores = block.rescore(block.pool(q_unit, k), q_unit)
-
-    return [
-        Candidate(doc_id=doc_id, raw_score=score, source=CandidateSource.EBR)
-        for score, doc_id in best_k(scores, block.ids[positions], k)
-    ]
+        return [
+            [] if b is None else best_k(np.zeros(len(b.live_pos)), b.ids[b.live_pos], k)
+            for b in blocks
+        ]
+    # Entries are stored unit-norm, so the dot product is the cosine.
+    q_unit = q / qnorm
+    screened = [b for b in blocks if b is not None and k < len(b.live_pos)]
+    if screened:
+        lo = min(b.span.start for b in screened)
+        hi = max(b.span.stop for b in screened)
+        scores = index._screen[lo:hi] @ q_unit.astype(np.float32)
+        qn = max(1.0, float(np.sqrt(q_unit @ q_unit)))
+        margin = screen_margin(index.dim) * qn + (qn - 1.0)
+    out = []
+    for b in blocks:
+        if b is None:
+            out.append([])
+            continue
+        if k < len(b.live_pos):
+            pool = b.pool(scores[b.span.start - lo : b.span.stop - lo], k, margin)
+        else:
+            pool = b.live_pos
+        positions, rescored = b.rescore(pool, q_unit)
+        out.append(best_k(rescored, b.ids[positions], k))
+    return out
 
 
 def best_k(scores: np.ndarray, keys: np.ndarray, k: int) -> list[tuple[float, object]]:

@@ -15,7 +15,13 @@ from ebrguard import (
     save_labels,
 )
 from ebrguard.corpus import FailureCategory, RelevanceJudgment
-from ebrguard.integrity import IntegrityLabel, LabelReason, Severity, apply_demotion
+from ebrguard.integrity import (
+    DEFAULT_SEVERITY_FOR_REASON,
+    IntegrityLabel,
+    LabelReason,
+    Severity,
+    apply_demotion,
+)
 from ebrguard.pipeline import SearchResult
 from ebrguard.vector_index import topk
 from tests.test_vector_index import make_fixture, random_unit
@@ -36,6 +42,36 @@ class TestLabelStore:
         assert store.lookup("d1").severity is Severity.REMOVABLE
         assert len(store.audit) == 2
         assert store.removable_ids() == {"d1"}
+
+    def test_relabelling_moves_a_doc_in_and_out_of_the_removable_set(self):
+        store = LabelStore()
+        store.add(IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.MISINFORMATION))
+        store.add(IntegrityLabel("d2", Severity.REMOVABLE, LabelReason.OFFENSIVE))
+        store.add(IntegrityLabel("d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
+        assert store.removable_ids() == {"d2"}
+        assert store.lookup("d1").severity is Severity.DEMOTABLE
+        store.add(IntegrityLabel("d1", Severity.REMOVABLE, LabelReason.OFFENSIVE))
+        store.add(IntegrityLabel("d2", Severity.DEMOTABLE, LabelReason.OTHER))
+        assert store.removable_ids() == {"d1"}
+        assert LabelStore(store.audit).removable_ids() == {"d1"}
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["d1", "d2", "d3"]), st.sampled_from(list(LabelReason))),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_removable_ids_are_the_docs_whose_latest_label_is_removable(self, writes):
+        store = LabelStore()
+        latest = {}
+        for doc_id, reason in writes:
+            severity = DEFAULT_SEVERITY_FOR_REASON[reason]
+            store.add(IntegrityLabel(doc_id, severity, reason))
+            latest[doc_id] = severity
+            assert store.removable_ids() == {
+                d for d, sev in latest.items() if sev is Severity.REMOVABLE
+            }
 
     def test_unlabeled_lookup_absent(self):
         assert LabelStore().lookup("ghost") is None
@@ -85,6 +121,18 @@ class TestIndexRemoval:
             }
             assert not hits & {"d0002", "d0007"}
             assert "d0004" in hits
+
+    def test_doc_relabelled_demotable_before_removal_stays_in_the_index(self):
+        rng = np.random.default_rng(3)
+        docs, embeddings = make_fixture(rng, 6)
+        index = build_index(docs, embeddings)
+        store = LabelStore()
+        store.add(IntegrityLabel("d0001", Severity.REMOVABLE, LabelReason.MISINFORMATION))
+        store.add(IntegrityLabel("d0002", Severity.REMOVABLE, LabelReason.OFFENSIVE))
+        store.add(IntegrityLabel("d0001", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY))
+        cleaned, removed = apply_index_removal(index, store)
+        assert removed == 1
+        assert "d0001" in cleaned and "d0002" not in cleaned
 
     def test_empty_store_is_noop(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 """Exact top-k retrieval against brute-force oracles, plus removal semantics."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from ebrguard import (
     build_index,
 )
 from ebrguard.errors import GuardrailError, InvalidParameter
-from ebrguard.vector_index import Candidate, best_k, screen_margin, topk
+from ebrguard.vector_index import Candidate, best_k, screen_margin, topk, topk_each
 from tests.test_corpus import make_doc
 
 
@@ -484,6 +485,89 @@ class TestScreenOracle:
                 assert hex_pairs(got) == hex_pairs(best_k(scores, ids, k))
 
 
+# Every order of every subset of SourceType, and one request naming a type twice.
+REQUESTS = [
+    order
+    for size in range(len(SourceType) + 1)
+    for order in itertools.permutations(SourceType, size)
+] + [(SourceType.UN, SourceType.CN, SourceType.UN)]
+
+
+@st.composite
+def each_cases(draw):
+    """An index over both source types, a removal set and a query for topk_each.
+
+    Block sizes run from 0 (a source type absent from the index) to a few
+    thousand rows; rows of the two types are interleaved in a random corpus
+    order. Rows are random 64-dim vectors with planted duplicates (within
+    and across types) and zero rows. Removals hit each block at its own
+    rate, from none to every row, and the query is zero or random.
+    """
+    d = 64
+    small = st.integers(0, 30)
+    n_cn, n_un = draw(
+        st.one_of(
+            st.tuples(small, small),
+            st.tuples(st.sampled_from([0, 9, 2_003, 4_001]), st.sampled_from([0, 6, 3_002])),
+        ).filter(lambda sizes: sum(sizes) > 0)
+    )
+    n = n_cn + n_un
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    types = [SourceType.CN] * n_cn + [SourceType.UN] * n_un
+    types = [types[i] for i in rng.permutation(n)]
+    matrix = rng.normal(size=(n, d))
+    for i in rng.choice(n, size=draw(st.integers(0, 6)), replace=True):
+        matrix[i] = matrix[rng.integers(n)]
+    matrix[rng.choice(n, size=min(n, draw(st.integers(0, 2))), replace=False)] = 0.0
+    q = np.zeros(d) if draw(st.integers(0, 5)) == 0 else rng.normal(size=d)
+    rates = {t: draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for t in SourceType}
+    removed = [i for i in range(n) if rng.random() < rates[types[i]]]
+    labels = rng.permutation(n)
+    docs = [make_doc(f"d{label}", source_type=t) for label, t in zip(labels, types)]
+    return docs, matrix, q, removed
+
+
+class TestTopkEach:
+    """topk_each against one topk call per source type: the same pairs, with
+    the same raw_score bits, in request order."""
+
+    @given(each_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_one_topk_per_source_type(self, case):
+        docs, matrix, q, removed = case
+        index = build_index(docs, {doc.doc_id: row for doc, row in zip(docs, matrix)})
+        index = index.remove_many(docs[i].doc_id for i in removed)
+        n_live = {
+            t: sum(doc.source_type is t and doc.doc_id in index for doc in docs)
+            for t in SourceType
+        }
+        # k >= n_live in no block, in the smaller block only, and in both.
+        ks = {1, 10, *(max(1, m) for m in n_live.values()), max(n_live.values()) + 1}
+        for k in sorted(ks):
+            for request in REQUESTS:
+                expected = [
+                    [(c.raw_score, c.doc_id) for c in topk(index, q, k, source_filter=t)]
+                    for t in request
+                ]
+                got = topk_each(index, q, k, request)
+                assert [hex_pairs(pairs) for pairs in got] == [
+                    hex_pairs(pairs) for pairs in expected
+                ]
+
+    def test_validates_k_query_and_source_types(self):
+        rng = np.random.default_rng(13)
+        docs, embeddings = make_fixture(rng, 6)
+        index = build_index(docs, embeddings)
+        q = random_unit(rng, 16)
+        assert topk_each(index, q, 3, ()) == []
+        with pytest.raises(InvalidParameter, match="k must be"):
+            topk_each(index, q, 0, ())
+        with pytest.raises(InvalidParameter, match="index dim 16"):
+            topk_each(index, random_unit(rng, 8), 3, list(SourceType))
+        with pytest.raises(TypeError, match="SourceType"):
+            topk_each(index, q, 3, [SourceType.CN, None])
+
+
 class TestThreadCount:
     """Scores do not depend on the BLAS thread count.
 
@@ -508,17 +592,44 @@ out = topk(index, rng.normal(size=d), n, source_filter=SourceType.UN)
 sys.stdout.write("\\n".join(f"{c.doc_id} {c.raw_score.hex()}" for c in out))
 """
 
-    def scores(self, threads):
+    # 8,002 rows split between the two source types, some removed from each:
+    # the span one request screens is past the threaded cut-over.
+    EACH_SCRIPT = """
+import sys
+import numpy as np
+from ebrguard import SourceType, build_index
+from ebrguard.corpus import Document
+from ebrguard.vector_index import topk_each
+n, d = 8_002, 64
+rng = np.random.default_rng(1)
+types = [(SourceType.CN, SourceType.UN)[i % 2] for i in rng.permutation(n)]
+docs = [Document(f"d{i}", "t", "", "en", "US", "south", "hiking", t) for i, t in enumerate(types)]
+index = build_index(docs, {doc.doc_id: rng.normal(size=d) for doc in docs})
+index = index.remove_many(f"d{i}" for i in rng.choice(n, size=500, replace=False))
+for _ in range(20):
+    q = rng.normal(size=d)
+    for k in (1, 10, 100):
+        for request in ([SourceType.CN, SourceType.UN], [SourceType.UN, SourceType.CN]):
+            for pairs in topk_each(index, q, k, request):
+                print(" ".join(f"{doc_id}:{score.hex()}" for score, doc_id in pairs))
+"""
+
+    def run(self, script, threads):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
         src = str(Path(ebrguard.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
             check=True,
         )
         return done.stdout.splitlines()
 
     def test_one_8002_row_block_scores_alike_with_1_and_2_blas_threads(self):
-        one = self.scores(1)
+        one = self.run(self.SCRIPT, 1)
         assert len(one) == 8_002
-        assert one == self.scores(2)
+        assert one == self.run(self.SCRIPT, 2)
+
+    def test_topk_each_over_a_threaded_span_gives_the_same_pairs_with_1_and_2_threads(self):
+        one = self.run(self.EACH_SCRIPT, 1)
+        assert len(one) == 20 * 3 * 2 * 2
+        assert one == self.run(self.EACH_SCRIPT, 2)
