@@ -33,14 +33,13 @@ one-source case. In three steps:
    screen, and its pool is every live row. Each screened block sets its
    dead rows to -inf in its slice of the scan and takes the k-th score
    kth32 (np.partition), and pools every row with s32 >= kth32 - 2B.
-   The span of both blocks of a 10k-row index at d=64 is past OpenBLAS's
-   threaded cut-over, so the scan is split across threads, each share small
-   enough for its core's L2 cache where two per-block scans would each
-   stream the whole of theirs through one core. That gain needs the second
-   core free: OpenBLAS's worker spins for a while after a threaded call,
-   so on a 2-core host a third busy process stalls requests. B bounds a
+   The span is scanned in chunks of _CHUNK_ELEMENTS values, below
+   OpenBLAS's threaded cut-over, so the serving path never wakes a BLAS
+   worker thread: a worker spins for a while after a threaded call, and
+   on a host whose other core is busy that stalls requests. B bounds a
    float32 score whatever order its sum takes, threaded or not (below), so
-   the thread count can change the pool but never a raw_score.
+   the chunking, like the thread count, could change the pool but never a
+   raw_score.
 2. Rescore the pool in float64, laid out so that each pooled row gets the
    bits the full scan of the live block gives it: the pooled rows of the
    main region (all live rows but the last n_live % 4), zero-padded to a
@@ -96,8 +95,9 @@ import numpy as np
 from .corpus import Document, SourceType, first_repeat
 from .errors import GuardrailError, InvalidParameter
 
-# Values per rescore chunk: a multiple of 4 rows this size stays far below
-# OpenBLAS's threaded-gemv cut-over of m * n >= 460,800.
+# Values per screen or rescore chunk: a chunk this size (a multiple of 4
+# rows for the rescore) stays far below OpenBLAS's threaded-gemv cut-over
+# of m * n >= 460,800.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -227,7 +227,7 @@ class Index:
         Ids that are absent (never present, or already removed) are ignored,
         so the operation is idempotent; with nothing to remove the same
         index is returned. Rows are shared, never copied; the new value has
-        its own live mask, and only the blocks it changes are rebuilt.
+        its own live mask.
         """
         rows = np.fromiter(map(self._where.get, ids, repeat(-1)), dtype=np.intp)
         rows = rows[rows >= 0]
@@ -236,10 +236,7 @@ class Index:
             return self
         live = self._live.copy()
         live[gone] = False
-        blocks = {
-            st: b.with_live(live) if ((gone >= b.span.start) & (gone < b.span.stop)).any() else b
-            for st, b in self._blocks.items()
-        }
+        blocks = {st: b.with_live(live) for st, b in self._blocks.items()}
         return Index(blocks, self._where, live, self._screen, self._dim)
 
 
@@ -332,7 +329,12 @@ def topk_each(
     if screened:
         lo = min(b.span.start for b in screened)
         hi = max(b.span.stop for b in screened)
-        scores = index._screen[lo:hi] @ q_unit.astype(np.float32)
+        q32 = q_unit.astype(np.float32)
+        step = max(1, _CHUNK_ELEMENTS // index.dim)
+        scores = np.empty(hi - lo, dtype=np.float32)
+        for start in range(lo, hi, step):
+            stop = min(hi, start + step)
+            np.matmul(index._screen[start:stop], q32, out=scores[start - lo : stop - lo])
         qn = max(1.0, float(np.sqrt(q_unit @ q_unit)))
         margin = screen_margin(index.dim) * qn + (qn - 1.0)
     out = []

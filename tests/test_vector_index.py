@@ -593,7 +593,8 @@ sys.stdout.write("\\n".join(f"{c.doc_id} {c.raw_score.hex()}" for c in out))
 """
 
     # 8,002 rows split between the two source types, some removed from each:
-    # the span one request screens is past the threaded cut-over.
+    # the span one request screens is past the threaded cut-over, so one
+    # scan of it would be threaded; the screen's chunks stay below it.
     EACH_SCRIPT = """
 import sys
 import numpy as np
@@ -629,7 +630,7 @@ for _ in range(20):
         assert len(one) == 8_002
         assert one == self.run(self.SCRIPT, 2)
 
-    def test_topk_each_over_a_threaded_span_gives_the_same_pairs_with_1_and_2_threads(self):
+    def test_topk_each_over_an_8002_row_span_gives_the_same_pairs_with_1_and_2_threads(self):
         one = self.run(self.EACH_SCRIPT, 1)
         assert len(one) == 20 * 3 * 2 * 2
         assert one == self.run(self.EACH_SCRIPT, 2)
