@@ -33,13 +33,13 @@ one-source case. In three steps:
    screen, and its pool is every live row. Each screened block sets its
    dead rows to -inf in its slice of the scan and takes the k-th score
    kth32 (np.partition), and pools every row with s32 >= kth32 - 2B.
-   The span is scanned in chunks of _CHUNK_ELEMENTS values, below
-   OpenBLAS's threaded cut-over, so the serving path never wakes a BLAS
-   worker thread: a worker spins for a while after a threaded call, and
-   on a host whose other core is busy that stalls requests. B bounds a
-   float32 score whatever order its sum takes, threaded or not (below), so
-   the chunking, like the thread count, could change the pool but never a
-   raw_score.
+   The span is scanned in chunks of _SCREEN_CHUNK_ELEMENTS values (4,096
+   rows at d=64), below OpenBLAS's threaded cut-over, so the serving path
+   never wakes a BLAS worker thread: a worker spins for a while after a
+   threaded call, and on a host whose other core is busy that stalls
+   requests. B bounds a float32 score whatever order its sum takes,
+   threaded or not (below), so the chunking, like the thread count, could
+   change the pool but never a raw_score.
 2. Rescore the pool in float64, laid out so that each pooled row gets the
    bits the full scan of the live block gives it: the pooled rows of the
    main region (all live rows but the last n_live % 4), zero-padded to a
@@ -95,10 +95,12 @@ import numpy as np
 from .corpus import Document, SourceType, first_repeat
 from .errors import GuardrailError, InvalidParameter
 
-# Values per screen or rescore chunk: a chunk this size (a multiple of 4
-# rows for the rescore) stays far below OpenBLAS's threaded-gemv cut-over
-# of m * n >= 460,800.
+# Values per rescore chunk: a multiple of 4 rows this size stays far below
+# OpenBLAS's threaded-gemv cut-over of m * n >= 460,800.
 _CHUNK_ELEMENTS = 1 << 16
+# Values per screen chunk: below the cut-over too, but large, since each
+# BLAS call costs a few microseconds of its own.
+_SCREEN_CHUNK_ELEMENTS = 1 << 18
 
 
 class CandidateSource(str, Enum):
@@ -330,7 +332,7 @@ def topk_each(
         lo = min(b.span.start for b in screened)
         hi = max(b.span.stop for b in screened)
         q32 = q_unit.astype(np.float32)
-        step = max(1, _CHUNK_ELEMENTS // index.dim)
+        step = max(1, _SCREEN_CHUNK_ELEMENTS // index.dim)
         scores = np.empty(hi - lo, dtype=np.float32)
         for start in range(lo, hi, step):
             stop = min(hi, start + step)
