@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Hashable, Iterable
 
 from .errors import MalformedRecord
-from .jsonl import json_bool, json_int, json_number, json_object, json_str, read_jsonl, write_jsonl
+from .jsonl import Record, read_jsonl, write_jsonl
 
 
 class SourceType(str, Enum):
@@ -54,7 +54,7 @@ INTEGRITY_CATEGORIES = frozenset(
 
 
 @dataclass(frozen=True, slots=True)
-class SegmentKey:
+class SegmentKey(Record):
     """One customization bucket: user country, language, query intent, doc source."""
 
     user_country: str
@@ -70,15 +70,6 @@ class SegmentKey:
             "doc_source_type": self.doc_source_type.value,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SegmentKey":
-        return cls(
-            user_country=json_str(d["user_country"], "user_country"),
-            language=json_str(d["language"], "language"),
-            query_intent=Intent(json_str(d["query_intent"], "query_intent")),
-            doc_source_type=SourceType(d["doc_source_type"]),
-        )
-
     def sort_key(self) -> tuple:
         return (
             self.user_country,
@@ -89,7 +80,7 @@ class SegmentKey:
 
 
 @dataclass(frozen=True, slots=True)
-class Document:
+class Document(Record):
     doc_id: str
     title: str
     description: str
@@ -115,22 +106,9 @@ class Document:
             "source_type": self.source_type.value,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Document":
-        return cls(
-            doc_id=json_str(d["doc_id"], "doc_id"),
-            title=json_str(d["title"], "title"),
-            description=json_str(d["description"], "description"),
-            language=json_str(d["language"], "language"),
-            country=json_str(d["country"], "country"),
-            region=json_str(d["region"], "region"),
-            topic=json_str(d["topic"], "topic"),
-            source_type=SourceType(d["source_type"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class Query:
+class Query(Record):
     query_id: str
     text: str
     language: str
@@ -152,20 +130,9 @@ class Query:
             "intent": self.intent.value,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Query":
-        return cls(
-            query_id=json_str(d["query_id"], "query_id"),
-            text=json_str(d["text"], "text"),
-            language=json_str(d["language"], "language"),
-            country=json_str(d["country"], "country"),
-            region=json_str(d["region"], "region"),
-            intent=Intent(json_str(d["intent"], "intent")),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class EngagementRecord:
+class EngagementRecord(Record):
     """One logged impression: the raw similarity score and whether it converted."""
 
     query_id: str
@@ -187,19 +154,9 @@ class EngagementRecord:
             "segment": self.segment.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EngagementRecord":
-        return cls(
-            query_id=json_str(d["query_id"], "query_id"),
-            doc_id=json_str(d["doc_id"], "doc_id"),
-            raw_score=json_number(d["raw_score"], "raw_score"),
-            engaged=json_bool(d["engaged"], "engaged"),
-            segment=SegmentKey.from_dict(json_object(d["segment"], "segment")),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class RelevanceJudgment:
+class RelevanceJudgment(Record):
     """Rater grade on a 0..3 scale; grade 0 may carry a failure category."""
 
     query_id: str
@@ -218,16 +175,6 @@ class RelevanceJudgment:
         if self.failure_category is not None:
             d["failure_category"] = self.failure_category.value
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RelevanceJudgment":
-        cat = d.get("failure_category")
-        return cls(
-            query_id=json_str(d["query_id"], "query_id"),
-            doc_id=json_str(d["doc_id"], "doc_id"),
-            grade=json_int(d["grade"], "grade"),
-            failure_category=FailureCategory(cat) if cat is not None else None,
-        )
 
 
 # ---------------------------------------------------------------------------

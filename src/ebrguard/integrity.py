@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
 from .corpus import INTEGRITY_CATEGORIES, RelevanceJudgment
-from .jsonl import json_opt_str, json_str, read_jsonl, write_jsonl
+from .jsonl import Record, read_jsonl, write_jsonl
 from .vector_index import Index
 
 
@@ -43,7 +43,7 @@ DEFAULT_SEVERITY_FOR_REASON = {
 
 
 @dataclass(frozen=True, slots=True)
-class IntegrityLabel:
+class IntegrityLabel(Record):
     doc_id: str
     severity: Severity
     reason: LabelReason
@@ -56,15 +56,6 @@ class IntegrityLabel:
             "reason": self.reason.value,
             "ts": self.ts,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IntegrityLabel":
-        return cls(
-            doc_id=json_str(d["doc_id"], "doc_id"),
-            severity=Severity(d["severity"]),
-            reason=LabelReason(d["reason"]),
-            ts=json_opt_str(d.get("ts"), "ts"),
-        )
 
 
 class LabelStore:

@@ -5,14 +5,26 @@ line, UTF-8, blank lines ignored; read_lines is their one loop. Whole-file
 JSON documents (model.json, report.json) are one indented object. Bad input
 never escapes as a raw JSON, key or type error: it becomes a MalformedRecord
 that names the file and, where known, the 1-based line.
+
+The one read rule lives here: Record.from_dict reads each dataclass field by
+its annotation (str, float, int, bool, an enum as a JSON string, a nested
+Record as an object, tuple[R, ...] as a list). A field annotated X | None may
+be absent or null; every other field is required; other keys are ignored.
+Writers stay per class (to_dict): a generic writer measured about 2.3 times
+slower on a shared 2-vCPU host (38 against 92-111 ms for the 32,000 records
+gen-data writes at 10k docs), a cost every CLI step that writes would pay.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
+from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import MalformedRecord
 
@@ -72,16 +84,60 @@ def json_object(value, name: str) -> dict:
     return value
 
 
-def json_opt_str(value, name: str) -> str | None:
-    """value if it is a JSON string or null (None), else TypeError."""
-    return None if value is None else json_str(value, name)
-
-
 def json_bool(value, name: str) -> bool:
     """value if it is a JSON true or false, else TypeError."""
     if not isinstance(value, bool):
         raise TypeError(f"{name} {value!r} is not true or false")
     return value
+
+
+_PRIMITIVE_READERS = {str: json_str, float: json_number, int: json_int, bool: json_bool}
+
+
+def _field_reader(hint: Any) -> Callable[[Any, str], Any]:
+    """The reader of one field value annotated hint, called as reader(value, name)."""
+    if hint in _PRIMITIVE_READERS:
+        return _PRIMITIVE_READERS[hint]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return lambda value, name: hint(json_str(value, name))
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return lambda value, name: hint.from_dict(json_object(value, name))
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = _field_reader(args[0])
+        return lambda value, name: tuple(item(v, name) for v in json_list(value, name))
+    raise NotImplementedError(f"no JSON reader for a field annotated {hint!r}")
+
+
+@functools.cache
+def _decode_plan(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any], bool], ...]:
+    """(name, reader, optional) per dataclass field of cls, in field order."""
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        optional = type(None) in args
+        hint = args[0] if optional else hints[f.name]
+        plan.append((f.name, _field_reader(hint), optional))
+    return tuple(plan)
+
+
+class Record:
+    """Mixin for a dataclass read from a JSON object by the module's one read rule."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_dict(cls: type[_T], d: dict) -> _T:
+        """cls from the JSON object d; KeyError for a missing required field,
+        TypeError or ValueError for a value of the wrong JSON type or range."""
+        values = []
+        for name, read, optional in _decode_plan(cls):
+            if optional and d.get(name) is None:
+                values.append(None)
+            else:
+                values.append(read(d[name], name))
+        return cls(*values)
 
 
 def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:

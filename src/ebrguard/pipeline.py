@@ -25,7 +25,7 @@ from .corpus import Query, SegmentKey, first_repeat
 from .embedder import Side, embed_text
 from .errors import InvalidParameter
 from .integrity import LabelStore, apply_demotion
-from .jsonl import json_bool, json_list, json_number, json_str
+from .jsonl import Record
 from .text_retrieval import InvertedIndex, search_text_pairs
 from .thresholds import ThresholdModel, predict_threshold
 from .triggers import RuleSet, TriggerAction
@@ -64,7 +64,7 @@ def sigmoid_transform(s_score, params: SigmoidParams = DEFAULT_SIGMOID):
 
 
 @dataclass(frozen=True, slots=True)
-class SearchResult:
+class SearchResult(Record):
     doc_id: str
     transformed_score: float
     source: CandidateSource
@@ -78,18 +78,9 @@ class SearchResult:
             "demoted": self.demoted,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchResult":
-        return cls(
-            doc_id=json_str(d["doc_id"], "doc_id"),
-            transformed_score=json_number(d["transformed_score"], "transformed_score"),
-            source=CandidateSource(d["source"]),
-            demoted=json_bool(d["demoted"], "demoted"),
-        )
-
 
 @dataclass(frozen=True)
-class ResultPage:
+class ResultPage(Record):
     query_id: str
     results: tuple[SearchResult, ...]
     ebr_triggered: bool
@@ -103,15 +94,13 @@ class ResultPage:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultPage":
-        results = tuple(SearchResult.from_dict(r) for r in json_list(d["results"], "results"))
-        twice = first_repeat(r.doc_id for r in results)
+        """Record.from_dict, then ValueError for a page that lists a doc twice
+        (checked on reading only, so pages built in memory are not checked)."""
+        page = super().from_dict(d)
+        twice = first_repeat(r.doc_id for r in page.results)
         if twice is not None:
-            raise ValueError(f"page {d['query_id']!r} lists doc_id {twice!r} twice")
-        return cls(
-            query_id=json_str(d["query_id"], "query_id"),
-            results=results,
-            ebr_triggered=json_bool(d["ebr_triggered"], "ebr_triggered"),
-        )
+            raise ValueError(f"page {page.query_id!r} lists doc_id {twice!r} twice")
+        return page
 
 
 @dataclass(frozen=True)

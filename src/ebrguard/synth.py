@@ -8,21 +8,27 @@ the failure mix, exact to within rounding via largest-remainder allocation).
 Planted structure the rest of the pipeline leans on:
 
 - The grade-3 document shares the query's tokens, so text retrieval finds
-  it easily; the grade-2 document is mainly a semantic match (token-poor,
+  it easily; the grade-2 document is written as a synonym match (token-poor,
   trigram-adjacent); the grade-1 documents are partial lexical matches, and
   the second of them never shows up in the engagement log, so only the text
-  route reaches it.
-- Failure documents embody their category: location mismatches carry the
-  right words and the wrong country, language mismatches switch language,
-  fuzzy matches share tokens in the wrong sense, and integrity failures are
-  ordinary-looking documents that only the judgment file flags.
-- Engagement scores are drawn from segment-specific Beta distributions.
-  Engaged impressions sit above non-engaged ones within every segment, with
-  strongly engaging grades (3 and 2) lifted a little further, and the
-  segment centers are spread widely. Per-segment optimal discard thresholds
-  therefore genuinely differ, which is the premise the
-  threshold-customization treatment needs: one global threshold either
-  keeps junk in high-scoring segments or starves low-scoring ones.
+  route reaches it. The stand-in embedder sees only trigram overlap, so the
+  grade-2 document reaches EBR's top 10 for about 1% of queries (seed 5,
+  10k docs / 1k queries).
+- Failure documents are written after their category: location mismatches
+  carry the right words and the wrong country, language mismatches switch
+  language, fuzzy matches share tokens in the wrong sense, and integrity
+  failures are ordinary-looking documents that only the judgment file flags.
+- Filler documents pad the corpus to n_docs from one title and one
+  description template over each country's regions and cities, so they
+  repeat: at 10k docs / 1k queries, seed 5, the 3,000 fillers share 83
+  distinct texts.
+- Engagement scores are not served scores: the embedder and the index
+  never touch them. Each logged raw_score is drawn from a Beta distribution
+  around a per-segment centre planted here, the segment centres spread over
+  a fixed range, engaged impressions above non-engaged ones within every
+  segment and grades 3 and 2 lifted a little further. Per-segment discard
+  thresholds fitted on the log therefore differ because the centres were
+  planted apart, not because served scores differ by segment.
 """
 
 from __future__ import annotations

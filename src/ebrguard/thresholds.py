@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import EngagementRecord, Intent, SegmentKey, SourceType
 from .errors import GuardrailError, InvalidParameter
-from .jsonl import json_int, json_number, json_object, read_json, write_json
+from .jsonl import Record, json_number, json_object, read_json, write_json
 
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
@@ -89,7 +89,7 @@ FEATURES = ("user_country", "language", "query_intent", "doc_source_type")
 
 
 @dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     mse: float
     max_residual: float
     n_segments: int
@@ -114,7 +114,7 @@ class ThresholdModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdModel":
-        report = json_object(d["fit_report"], "fit_report")
+        report = FitReport.from_dict(json_object(d["fit_report"], "fit_report"))
         raw = json_object(d["coefficients"], "coefficients")
         unknown = sorted(set(raw) - set(FEATURES))
         if unknown:
@@ -137,11 +137,7 @@ class ThresholdModel:
             intercept=json_number(d["intercept"], "intercept"),
             coefficients=coefficients,
             p=p,
-            fit_report=FitReport(
-                mse=json_number(report["mse"], "mse"),
-                max_residual=json_number(report["max_residual"], "max_residual"),
-                n_segments=json_int(report["n_segments"], "n_segments"),
-            ),
+            fit_report=report,
         )
 
 

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .corpus import Intent, SourceType, reject_repeats
 from .errors import GuardrailError
-from .jsonl import json_opt_str, json_str, read_jsonl, write_jsonl
+from .jsonl import Record, read_jsonl, write_jsonl
 
 
 class TriggerAction(str, Enum):
@@ -23,11 +23,11 @@ class TriggerAction(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class TriggerRule:
+class TriggerRule(Record):
     intent: Intent
     source_type: SourceType
     action: TriggerAction
-    note: str = ""
+    note: str | None = None
     country: str | None = None
 
     def to_dict(self) -> dict:
@@ -35,21 +35,12 @@ class TriggerRule:
             "intent": self.intent.value,
             "source_type": self.source_type.value,
             "action": self.action.value,
-            "note": self.note,
         }
+        if self.note is not None:
+            d["note"] = self.note
         if self.country is not None:
             d["country"] = self.country
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TriggerRule":
-        return cls(
-            intent=Intent(d["intent"]),
-            source_type=SourceType(d["source_type"]),
-            action=TriggerAction(d["action"]),
-            note=json_str(d.get("note", ""), "note"),
-            country=json_opt_str(d.get("country"), "country"),
-        )
 
 
 class RuleSet:

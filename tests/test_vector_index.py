@@ -18,7 +18,14 @@ from ebrguard import (
     build_index,
 )
 from ebrguard.errors import GuardrailError, InvalidParameter
-from ebrguard.vector_index import Candidate, best_k, screen_margin, topk, topk_each
+from ebrguard.vector_index import (
+    _CHUNK_ELEMENTS,
+    Candidate,
+    best_k,
+    screen_margin,
+    topk,
+    topk_each,
+)
 from tests.test_corpus import make_doc
 
 
@@ -481,6 +488,36 @@ class TestScreenOracle:
             rows = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
             scores = np.clip(rows @ q_unit, -1.0, 1.0)
             for k in (1, 5, 10):
+                got = [(c.raw_score, c.doc_id) for c in topk(index, q, k, SourceType.CN)]
+                assert hex_pairs(got) == hex_pairs(best_k(scores, ids, k))
+
+    RESCORE_STEP = _CHUNK_ELEMENTS // 64 // 4 * 4
+
+    @pytest.mark.parametrize("n", [5, RESCORE_STEP + 1, 2 * RESCORE_STEP + 1])
+    def test_tail_row_is_never_rescored_alone(self, n):
+        """Blocks whose single tail row could end up in a call of its own.
+
+        At n = 5 the last row is the best by far more than 2B, so at k=1 the
+        pool is that tail row alone: the rescore's zero padding to at least
+        4 rows keeps it in a 5-row call. At one and two rescore chunks plus
+        one row, with k >= n - 1, the pooled rows fill whole chunks: the
+        tail must ride in the last of them, not follow in a 1-row call.
+        A 1-row call sums in another order than the full scan's remainder
+        kernel, so either slip changes raw_score bits.
+        """
+        rng = np.random.default_rng(n)
+        d = 64
+        docs = [make_doc(f"d{i}", source_type=SourceType.CN) for i in range(n)]
+        ids = np.array([doc.doc_id for doc in docs], dtype=object)
+        for _ in range(10):
+            matrix = rng.normal(size=(n, d))
+            q = rng.normal(size=d)
+            matrix[-1] = q + 0.01 * rng.normal(size=d)
+            index = build_index(docs, dict(zip(ids, matrix)))
+            rows = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+            scores = np.clip(rows @ (q / np.linalg.norm(q)), -1.0, 1.0)
+            assert scores[-1] - np.sort(scores)[-2] > 2 * screen_margin(d)
+            for k in (1, n - 1, n):
                 got = [(c.raw_score, c.doc_id) for c in topk(index, q, k, SourceType.CN)]
                 assert hex_pairs(got) == hex_pairs(best_k(scores, ids, k))
 
