@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import INTEGRITY_CATEGORIES, FailureCategory, RelevanceJudgment
 from .errors import GuardrailError
-from .jsonl import json_int, json_number, json_object, read_json, write_json
+from .jsonl import Record, read_json, write_json
 from .pipeline import ResultPage
 
 NDCG_KS = (1, 3, 5)
@@ -75,7 +75,7 @@ def nonrec_at_10(session: EvalSession) -> bool:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     ndcg_at: dict[int, float]
     nonrec_rate: float
     failure_breakdown: dict[FailureCategory, float]
@@ -90,21 +90,6 @@ class EvalReport:
             },
             "n_sessions": self.n_sessions,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            ndcg_at={
-                int(k): json_number(v, f"ndcg_at[{k!r}]")
-                for k, v in json_object(d["ndcg_at"], "ndcg_at").items()
-            },
-            nonrec_rate=json_number(d["nonrec_rate"], "nonrec_rate"),
-            failure_breakdown={
-                FailureCategory(c): json_number(v, f"failure_breakdown[{c!r}]")
-                for c, v in json_object(d["failure_breakdown"], "failure_breakdown").items()
-            },
-            n_sessions=json_int(d["n_sessions"], "n_sessions"),
-        )
 
 
 def evaluate_run(sessions: Sequence[EvalSession]) -> EvalReport:

@@ -177,7 +177,7 @@ class SyntheticSpec:
         default_factory=lambda: dict(DEFAULT_SEGMENT_MIX)
     )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if self.n_docs < 10:
@@ -368,7 +368,6 @@ def _failure_doc(
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     """Build (corpus, queries, judgments, engagement_log), deterministic in
     every field of `spec`, seed included."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     segments = sorted(spec.segment_mix, key=SegmentKey.sort_key)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import EngagementRecord, Intent, SegmentKey, SourceType
 from .errors import GuardrailError, InvalidParameter
-from .jsonl import Record, json_number, json_object, read_json, write_json
+from .jsonl import Record, read_json, write_json
 
 DEFAULT_P = 0.9
 DEFAULT_MIN_SUPPORT = 20
@@ -96,13 +96,29 @@ class FitReport(Record):
 
 
 @dataclass(frozen=True)
-class ThresholdModel:
+class ThresholdModel(Record):
     """intercept plus, per feature in FEATURES, a coefficient for each value seen at fit time."""
 
     intercept: float
     coefficients: dict[str, dict[str, float]]
     p: float
     fit_report: FitReport
+
+    def __post_init__(self) -> None:
+        """ValueError unless coefficients has exactly the FEATURES and its intent
+        and source-type values name a member; InvalidParameter unless p is in (0, 1]."""
+        unknown = sorted(set(self.coefficients) - set(FEATURES))
+        if unknown:
+            raise ValueError(f"coefficients has unknown feature {unknown[0]!r}")
+        for name in FEATURES:
+            if name not in self.coefficients:
+                raise ValueError(f"missing field {name!r}")
+        for name, enum in (("query_intent", Intent), ("doc_source_type", SourceType)):
+            unknown = sorted(set(self.coefficients[name]) - {e.value for e in enum})
+            if unknown:
+                raise ValueError(f"{name} has unknown value {unknown[0]!r}")
+        if not 0.0 < self.p <= 1.0:
+            raise InvalidParameter(f"p must be in (0, 1], got {self.p}")
 
     def to_dict(self) -> dict:
         return {
@@ -111,34 +127,6 @@ class ThresholdModel:
             "coefficients": self.coefficients,
             "fit_report": asdict(self.fit_report),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThresholdModel":
-        report = FitReport.from_dict(json_object(d["fit_report"], "fit_report"))
-        raw = json_object(d["coefficients"], "coefficients")
-        unknown = sorted(set(raw) - set(FEATURES))
-        if unknown:
-            raise ValueError(f"coefficients has unknown feature {unknown[0]!r}")
-        coefficients = {
-            name: {
-                value: json_number(c, f"{name} {value!r} coefficient")
-                for value, c in json_object(raw[name], name).items()
-            }
-            for name in FEATURES
-        }
-        for name, enum in (("query_intent", Intent), ("doc_source_type", SourceType)):
-            unknown = sorted(set(coefficients[name]) - {e.value for e in enum})
-            if unknown:
-                raise ValueError(f"{name} has unknown value {unknown[0]!r}")
-        p = json_number(d["p"], "p")
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        return cls(
-            intercept=json_number(d["intercept"], "intercept"),
-            coefficients=coefficients,
-            p=p,
-            fit_report=report,
-        )
 
 
 def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdModel:

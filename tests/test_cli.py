@@ -497,7 +497,7 @@ class TestBadInputExitsOne:
             (("coefficients",), [0.1], "coefficients [0.1] is not an object"),
             (
                 ("coefficients", "user_country"), "BRGBMXUS",
-                "user_country 'BRGBMXUS' is not an object",
+                "coefficients['user_country'] 'BRGBMXUS' is not an object",
             ),
         ],
         ids=["list-coefficients", "str-country"],
@@ -567,11 +567,11 @@ class TestBadInputExitsOne:
             (("intercept",), float("nan"), "intercept nan is not a finite number"),
             (
                 ("coefficients", "query_intent", "PersonName"), True,
-                "query_intent 'PersonName' coefficient True is not a number",
+                "coefficients['query_intent']['PersonName'] True is not a number",
             ),
             (
                 ("coefficients", "language", "en"), float("-inf"),
-                "language 'en' coefficient -inf is not a finite number",
+                "coefficients['language']['en'] -inf is not a finite number",
             ),
             (("fit_report", "n_segments"), 2.9, "n_segments 2.9 is not an integer"),
         ],

@@ -8,9 +8,11 @@ are common), both source types, labels already applied, trigger rules and
 sometimes a fitted threshold model.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ebrguard import (
@@ -29,11 +31,13 @@ from ebrguard import (
     build_text_index,
     embed_corpus,
     fit,
+    predict_threshold,
     retrieve,
 )
 from ebrguard.corpus import Query
 from ebrguard.embedder import Side, embed_text
 from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
+from ebrguard.thresholds import DEFAULT_P, FEATURES, FitReport, ThresholdModel
 from tests.test_corpus import make_doc
 
 WORDS = ["hiking", "club", "austin", "denver", "photo", "maria", "trail", "music"]
@@ -258,3 +262,74 @@ class TestTriggerRelation:
                 assert [np.float64(r.transformed_score).tobytes() for r in ruled.results] == [
                     np.float64(r.transformed_score).tobytes() for r in absent.results
                 ]
+
+
+# A model whose every threshold is 0, for worlds drawn without one.
+ZERO_MODEL = ThresholdModel(
+    0.0, {name: {} for name in FEATURES}, DEFAULT_P, FitReport(0.0, 0.0, 0)
+)
+
+
+def raised(model, source_type, delta):
+    """model with source_type's doc_source_type coefficient raised by delta,
+    so on every page the threshold of that one segment rises and no other moves."""
+    by_type = dict(model.coefficients["doc_source_type"])
+    by_type[source_type.value] = by_type.get(source_type.value, 0.0) + delta
+    return replace(model, coefficients={**model.coefficients, "doc_source_type": by_type})
+
+
+class TestThresholdRelation:
+    """Raising one segment's threshold takes off each page exactly the EBR
+    rows of that segment scored below the new threshold. Every other row of
+    the old page stays, in the same relative order; what joins the page
+    slides up from below the cut, or is a text row that the removed EBR row
+    of the same doc hid."""
+
+    @given(worlds(), st.sampled_from(list(SourceType)), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_raising_one_segment_removes_only_its_ebr_rows(self, world, source_type, delta):
+        docs, _, queries, store, rules, model, config = world
+        low = model or ZERO_MODEL
+        high = raised(low, source_type, delta)
+        index = labelled_index(world, store)
+        before, after = (
+            serve((*world[:5], m, config), index, store, RuleSet(rules)) for m in (low, high)
+        )
+        type_of = {d.doc_id: d.source_type for d in docs}
+        for q, old, new in zip(queries, before, after):
+            cut = predict_threshold(high, SegmentKey(q.country, q.language, q.intent, source_type))
+            below = [
+                r
+                for r in old.results
+                if r.source is CandidateSource.EBR
+                and type_of[r.doc_id] is source_type
+                and r.transformed_score < cut
+            ]
+            assert [r for r in old.results if r not in new.results] == below
+            stayed = [r for r in new.results if r in old.results]
+            assert stayed == [r for r in old.results if r in new.results]
+
+
+class TestDemotionRelation:
+    """A new Demotable label for doc x moves x below every undemoted row, or
+    off the page. No other row of the old page leaves it or changes its
+    relative order; at most a row from below the cut takes x's place."""
+
+    @given(worlds(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_demotable_label_sinks_only_that_doc(self, world, data):
+        docs, _, _, store, rules, _, _ = world
+        x = data.draw(st.sampled_from(docs)).doc_id
+        # A Removable doc is out of the index; relabelling it would bring it back.
+        assume(x not in store.removable_ids())
+        label = IntegrityLabel(x, Severity.DEMOTABLE, LabelReason.OTHER)
+        after = LabelStore([*store.audit, label])
+        index = labelled_index(world, store)
+        for old, new in zip(
+            serve(world, index, store, RuleSet(rules)), serve(world, index, after, RuleSet(rules))
+        ):
+            for i, row in enumerate(new.results):
+                if row.doc_id == x:
+                    assert all(r.demoted for r in new.results[i:])
+            old_rest = [r for r in old.results if r.doc_id != x]
+            assert [r for r in new.results if r.doc_id != x][: len(old_rest)] == old_rest

@@ -337,3 +337,18 @@ class TestModelPersistence:
         payload["coefficients"]["country"] = {"US": 0.1}
         with pytest.raises(ValueError, match="unknown feature 'country'"):
             ThresholdModel.from_dict(payload)
+
+
+class TestModelChecks:
+    """A model built in memory is checked as one read from model.json is."""
+
+    def test_p_outside_unit_interval_is_rejected(self):
+        model = fit({SEG_A: 0.4, SEG_B: 0.6})
+        with pytest.raises(ValueError, match=re.escape("p must be in (0, 1], got 2.0")):
+            ThresholdModel(model.intercept, model.coefficients, p=2.0, fit_report=model.fit_report)
+
+    def test_fifth_feature_is_rejected(self):
+        model = fit({SEG_A: 0.4, SEG_B: 0.6})
+        coefficients = {**model.coefficients, "country": {"US": 0.1}}
+        with pytest.raises(ValueError, match="unknown feature 'country'"):
+            ThresholdModel(model.intercept, coefficients, model.p, model.fit_report)
