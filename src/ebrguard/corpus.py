@@ -62,14 +62,6 @@ class SegmentKey(Record):
     query_intent: Intent
     doc_source_type: SourceType
 
-    def to_dict(self) -> dict:
-        return {
-            "user_country": self.user_country,
-            "language": self.language,
-            "query_intent": self.query_intent.value,
-            "doc_source_type": self.doc_source_type.value,
-        }
-
     def sort_key(self) -> tuple:
         return (
             self.user_country,
@@ -94,18 +86,6 @@ class Document(Record):
         if not self.doc_id:
             raise ValueError("doc_id must be nonempty")
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "title": self.title,
-            "description": self.description,
-            "language": self.language,
-            "country": self.country,
-            "region": self.region,
-            "topic": self.topic,
-            "source_type": self.source_type.value,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class Query(Record):
@@ -119,16 +99,6 @@ class Query(Record):
     def __post_init__(self) -> None:
         if not self.query_id:
             raise ValueError("query_id must be nonempty")
-
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "text": self.text,
-            "language": self.language,
-            "country": self.country,
-            "region": self.region,
-            "intent": self.intent.value,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,15 +115,6 @@ class EngagementRecord(Record):
         if not -1.0 <= self.raw_score <= 1.0:
             raise ValueError(f"raw_score {self.raw_score} outside [-1, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "doc_id": self.doc_id,
-            "raw_score": self.raw_score,
-            "engaged": self.engaged,
-            "segment": self.segment.to_dict(),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class RelevanceJudgment(Record):
@@ -169,12 +130,6 @@ class RelevanceJudgment(Record):
             raise ValueError(f"grade {self.grade} outside 0..3")
         if self.grade > 0 and self.failure_category is not None:
             raise ValueError("failure_category only allowed on grade-0 judgments")
-
-    def to_dict(self) -> dict:
-        d = {"query_id": self.query_id, "doc_id": self.doc_id, "grade": self.grade}
-        if self.failure_category is not None:
-            d["failure_category"] = self.failure_category.value
-        return d
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,6 @@ class EvalReport(Record):
     failure_breakdown: dict[FailureCategory, float]
     n_sessions: int
 
-    def to_dict(self) -> dict:
-        return {
-            "ndcg_at": {str(k): v for k, v in self.ndcg_at.items()},
-            "nonrec_rate": self.nonrec_rate,
-            "failure_breakdown": {
-                c.value: v for c, v in self.failure_breakdown.items()
-            },
-            "n_sessions": self.n_sessions,
-        }
-
 
 def evaluate_run(sessions: Sequence[EvalSession]) -> EvalReport:
     """Mean NDCG@k over NDCG_KS, NONREC rate, and the failure mix among returned grade-0 docs."""

@@ -50,6 +50,8 @@ class IntegrityLabel(Record):
     ts: str | None = None
 
     def to_dict(self) -> dict:
+        """Record.to_dict, but with "ts": null for no timestamp, as labels.jsonl
+        has always held and perfbench's inputs digest hashes."""
         return {
             "doc_id": self.doc_id,
             "severity": self.severity.value,

@@ -6,17 +6,26 @@ JSON documents (model.json, report.json) are one indented object. Bad input
 never escapes as a raw JSON, key or type error: it becomes a MalformedRecord
 that names the file and, where known, the 1-based line.
 
-The one read rule lives here: Record.from_dict reads each dataclass field by
-its annotation (str, float, int, bool, an enum as a JSON string, a nested
-Record as an object, tuple[R, ...] as a list, dict[K, V] as an object whose
-keys are kept as str, read by int() or named enum members and whose entries
-are read as V and named name['key'] in errors). A field annotated X | None
-may be absent or null; every other field is required; other keys are
-ignored. Every record file, model.json and report.json is read by this rule;
-a check that belongs to a record rather than to JSON is its __post_init__.
-Writers stay per class (to_dict): a generic writer measured about 2.3 times
-slower on a shared 2-vCPU host (38 against 92-111 ms for the 32,000 records
-gen-data writes at 10k docs), a cost every CLI step that writes would pay.
+The one JSON rule lives here, both ways, driven by each dataclass field's
+annotation. Record.from_dict reads str, float, int and bool as such, an enum
+as a JSON string naming a value, a nested Record as an object, tuple[R, ...]
+as a list and dict[K, V] as an object whose entries are read as V and named
+name['key'] in errors; a str key is kept, an int key must be exactly str(k)
+and an enum key a member's value, so no two keys read as one. A field
+annotated X | None may be absent or null; every other field is required;
+other keys are ignored. Record.to_dict is the inverse: fields in field
+order, an enum (value or key) as its value, an int key as str(k), a tuple as
+a list, and an optional field that is None left out. Every record file,
+model.json and report.json follows this rule; a check that belongs to a
+record rather than to JSON is its __post_init__. Only IntegrityLabel writes
+its own to_dict, keeping the "ts": null that labels.jsonl has always held
+and perfbench's inputs digest hashes.
+
+The generic to_dict costs about twice a hand-written one (40-43 against
+21 ms for the 32,000 records gen-data writes at 10k docs, on a shared 2-vCPU
+host), so record lines share one JSONEncoder: json.dumps with an option
+builds a new one per line, and reusing it took encoding from 120-124 to
+91-95 ms, leaving the four files' write time as it was.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import typing
 from enum import Enum
 from pathlib import Path
@@ -98,11 +108,31 @@ def json_bool(value, name: str) -> bool:
 _PRIMITIVE_READERS = {str: json_str, float: json_number, int: json_int, bool: json_bool}
 
 
+def _is_enum(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, Enum)
+
+
+def _read_key(key: type, k: str, name: str) -> Any:
+    """JSON object key k of the dict field named name as a key of type key. A
+    str key is kept; an int or enum key must be what its writer writes."""
+    if key is str:
+        return k
+    try:
+        out = key(k)
+    except ValueError:
+        out = None
+    # int() also takes " 1", "01" and "1_0", none of which str() writes.
+    if out is None or (key is int and str(out) != k):
+        what = "an integer" if key is int else f"a valid {key.__name__}"
+        raise ValueError(f"{name}[{k!r}] key is not {what}")
+    return out
+
+
 def _field_reader(hint: Any) -> Callable[[Any, str], Any]:
     """The reader of one field value annotated hint, called as reader(value, name)."""
     if hint in _PRIMITIVE_READERS:
         return _PRIMITIVE_READERS[hint]
-    if isinstance(hint, type) and issubclass(hint, Enum):
+    if _is_enum(hint):
         return lambda value, name: hint(json_str(value, name))
     if isinstance(hint, type) and issubclass(hint, Record):
         return lambda value, name: hint.from_dict(json_object(value, name))
@@ -110,31 +140,59 @@ def _field_reader(hint: Any) -> Callable[[Any, str], Any]:
     if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
         item = _field_reader(args[0])
         return lambda value, name: tuple(item(v, name) for v in json_list(value, name))
-    if typing.get_origin(hint) is dict:
-        # A JSON key is a string: str keeps it, int and an enum convert it.
-        key, entry = args[0], _field_reader(args[1])
-        if key in (str, int) or (isinstance(key, type) and issubclass(key, Enum)):
-            return lambda value, name: {
-                key(k): entry(v, f"{name}[{k!r}]") for k, v in json_object(value, name).items()
-            }
+    key = args[0] if typing.get_origin(hint) is dict else None
+    if key is str or key is int or _is_enum(key):
+        entry = _field_reader(args[1])
+        return lambda value, name: {
+            _read_key(key, k, name): entry(v, f"{name}[{k!r}]")
+            for k, v in json_object(value, name).items()
+        }
     raise NotImplementedError(f"no JSON reader for a field annotated {hint!r}")
 
 
+# A writer maps a field value to its JSON value; None writes the value as it is.
+_Writer = Callable[[Any], Any] | None
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+def _field_writer(hint: Any) -> _Writer:
+    """The writer of one field value annotated hint, the inverse of its reader."""
+    if hint in _PRIMITIVE_READERS:
+        return None
+    if _is_enum(hint):
+        return operator.attrgetter("value")
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return hint.to_dict
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = _field_writer(args[0])
+        return list if item is None else lambda value: [item(v) for v in value]
+    if typing.get_origin(hint) is dict:
+        # _field_reader has already refused any key but str, int or an enum.
+        key = _as_is if args[0] is str else str if args[0] is int else operator.attrgetter("value")
+        entry = _field_writer(args[1]) or _as_is
+        return lambda value: {key(k): entry(v) for k, v in value.items()}
+    raise NotImplementedError(f"no JSON writer for a field annotated {hint!r}")
+
+
 @functools.cache
-def _decode_plan(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any], bool], ...]:
-    """(name, reader, optional) per dataclass field of cls, in field order."""
+def _plan(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any], _Writer, bool], ...]:
+    """(name, reader, writer, optional) per dataclass field of cls, in field order."""
     hints = typing.get_type_hints(cls)
     plan = []
     for f in dataclasses.fields(cls):
         args = typing.get_args(hints[f.name])
         optional = type(None) in args
         hint = args[0] if optional else hints[f.name]
-        plan.append((f.name, _field_reader(hint), optional))
+        plan.append((f.name, _field_reader(hint), _field_writer(hint), optional))
     return tuple(plan)
 
 
 class Record:
-    """Mixin for a dataclass read from a JSON object by the module's one read rule."""
+    """Mixin for a dataclass read from and written to a JSON object by the module's one rule."""
 
     __slots__ = ()
 
@@ -143,12 +201,23 @@ class Record:
         """cls from the JSON object d; KeyError for a missing required field,
         TypeError or ValueError for a value of the wrong JSON type or range."""
         values = []
-        for name, read, optional in _decode_plan(cls):
+        for name, read, _, optional in _plan(cls):
             if optional and d.get(name) is None:
                 values.append(None)
             else:
                 values.append(read(d[name], name))
         return cls(*values)
+
+    def to_dict(self) -> dict:
+        """The JSON object of self, fields in field order; an optional field
+        that is None is left out."""
+        d = {}
+        for name, _, write, optional in _plan(type(self)):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            d[name] = value if write is None else write(value)
+        return d
 
 
 def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
@@ -206,8 +275,12 @@ def write_json(path: str | Path, d: dict) -> None:
     Path(path).write_text(json.dumps(d, indent=2) + "\n", encoding="utf-8")
 
 
+# One encoder for every line: json.dumps with an option builds a new encoder per call.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _encode(d: dict) -> str:
-    return json.dumps(d, ensure_ascii=False) + "\n"
+    return _LINE_ENCODER.encode(d) + "\n"
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:

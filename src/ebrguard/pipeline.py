@@ -70,27 +70,12 @@ class SearchResult(Record):
     source: CandidateSource
     demoted: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "transformed_score": self.transformed_score,
-            "source": self.source.value,
-            "demoted": self.demoted,
-        }
-
 
 @dataclass(frozen=True)
 class ResultPage(Record):
     query_id: str
-    results: tuple[SearchResult, ...]
     ebr_triggered: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "ebr_triggered": self.ebr_triggered,
-            "results": [r.to_dict() for r in self.results],
-        }
+    results: tuple[SearchResult, ...]
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultPage":

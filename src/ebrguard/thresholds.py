@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -99,9 +99,9 @@ class FitReport(Record):
 class ThresholdModel(Record):
     """intercept plus, per feature in FEATURES, a coefficient for each value seen at fit time."""
 
+    p: float
     intercept: float
     coefficients: dict[str, dict[str, float]]
-    p: float
     fit_report: FitReport
 
     def __post_init__(self) -> None:
@@ -119,14 +119,6 @@ class ThresholdModel(Record):
                 raise ValueError(f"{name} has unknown value {unknown[0]!r}")
         if not 0.0 < self.p <= 1.0:
             raise InvalidParameter(f"p must be in (0, 1], got {self.p}")
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "intercept": self.intercept,
-            "coefficients": self.coefficients,
-            "fit_report": asdict(self.fit_report),
-        }
 
 
 def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdModel:
@@ -160,7 +152,9 @@ def fit(targets: Mapping[SegmentKey, float], p: float = DEFAULT_P) -> ThresholdM
         max_residual=float(np.max(np.abs(residuals))),
         n_segments=len(segments),
     )
-    return ThresholdModel(float(beta[0]), coefficients, p, report)
+    return ThresholdModel(
+        p=p, intercept=float(beta[0]), coefficients=coefficients, fit_report=report
+    )
 
 
 def predict_threshold(model: ThresholdModel, segment: SegmentKey) -> float:

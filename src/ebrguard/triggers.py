@@ -30,18 +30,6 @@ class TriggerRule(Record):
     note: str | None = None
     country: str | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "intent": self.intent.value,
-            "source_type": self.source_type.value,
-            "action": self.action.value,
-        }
-        if self.note is not None:
-            d["note"] = self.note
-        if self.country is not None:
-            d["country"] = self.country
-        return d
-
 
 class RuleSet:
     """At most one rule per (intent, source_type, country) slot."""

@@ -680,6 +680,31 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {test}: {message}")
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("ndcg_at", {"one": 0.5}, "ndcg_at['one'] key is not an integer"),
+            ("ndcg_at", {"1_0": 0.5, " 1": 0.7}, "ndcg_at['1_0'] key is not an integer"),
+            ("ndcg_at", {"1": 0.5, "01": 0.7}, "ndcg_at['01'] key is not an integer"),
+            (
+                "failure_breakdown",
+                {"Nope": 1.0},
+                "failure_breakdown['Nope'] key is not a valid FailureCategory",
+            ),
+        ],
+        ids=["word", "underscore", "leading-zero", "unknown-category"],
+    )
+    def test_compare_report_bad_key_names_file_and_entry(
+        self, tmp_path, capsys, field, value, message
+    ):
+        report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
+        control, test = tmp_path / "control.json", tmp_path / "test.json"
+        control.write_text(json.dumps(report))
+        test.write_text(json.dumps({**report, field: value}))
+        code, _, err = run(capsys, "compare", str(control), str(test))
+        assert code == 1
+        assert err.startswith(f"error: {test}: {message}")
+
     def test_build_index_title_not_a_string_names_file_and_line(
         self, workdir, tmp_path, capsys
     ):

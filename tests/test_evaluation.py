@@ -238,11 +238,11 @@ class TestSessionsFromPages:
         pages = [
             ResultPage(
                 "q1",
+                True,
                 (
                     SearchResult("d1", 0.9, CandidateSource.EBR),
                     SearchResult("d2", 0.5, CandidateSource.TEXT),
                 ),
-                True,
             )
         ]
         judgments = [

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
@@ -81,9 +81,10 @@ def test_dict_fields_convert_their_keys_and_read_every_entry():
 
 
 def test_dict_fields_reject_a_bad_key_or_value_naming_the_entry():
-    with pytest.raises(ValueError, match="'XN' is not a valid SourceType"):
+    message = "by_source['XN'] key is not a valid SourceType"
+    with pytest.raises(ValueError, match=re.escape(message)):
         Keyed.from_dict({**KEYED, "by_source": {"CN": 0.25, "XN": 0.5}})
-    with pytest.raises(ValueError, match="invalid literal for int"):
+    with pytest.raises(ValueError, match=re.escape("by_count['one'] key is not an integer")):
         Keyed.from_dict({**KEYED, "by_count": {"one": 0.5}})
     with pytest.raises(TypeError, match=re.escape("by_count [0.5] is not an object")):
         Keyed.from_dict({**KEYED, "by_count": [0.5]})
@@ -95,3 +96,69 @@ def test_dict_fields_reject_a_bad_key_or_value_naming_the_entry():
         message = f"nested['a']['b'] {value!r} is not a finite number"
         with pytest.raises(TypeError, match=re.escape(message)):
             Keyed.from_dict({**KEYED, "nested": {"a": {"b": value}}})
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "01", "+1", "-0", "1.0", "\u0661", ""])
+def test_int_keys_are_only_what_str_writes(key):
+    """int() takes every one of these keys; none of them is str(k) of an int k,
+    so reading them would merge or rename entries."""
+    with pytest.raises(ValueError, match=re.escape(f"by_count[{key!r}] key is not an integer")):
+        Keyed.from_dict({**KEYED, "by_count": {"1": 0.5, key: 0.7}})
+
+
+def test_negative_and_zero_int_keys_read():
+    read = Keyed.from_dict({**KEYED, "by_count": {"-3": 1.0, "0": 2.0}})
+    assert read.by_count == {-3: 1.0, 0: 2.0}
+
+
+@dataclass(frozen=True)
+class Inner(Record):
+    name: str
+    source: SourceType
+
+
+@dataclass(frozen=True)
+class Written(Record):
+    count: int
+    source: SourceType
+    inner: Inner
+    items: tuple[Inner, ...]
+    tags: tuple[str, ...]
+    by_count: dict[int, float]
+    by_source: dict[SourceType, dict[str, bool]]
+    note: str | None = None
+
+
+WRITTEN = Written(
+    count=3,
+    source=SourceType.UN,
+    inner=Inner("a", SourceType.CN),
+    items=(Inner("b", SourceType.UN), Inner("c", SourceType.CN)),
+    tags=("x", "y"),
+    by_count={10: 0.5, 1: 0.25},
+    by_source={SourceType.UN: {"k": True}},
+)
+
+
+def test_to_dict_writes_fields_in_field_order_by_their_annotations():
+    d = WRITTEN.to_dict()
+    assert d == {
+        "count": 3,
+        "source": "UN",
+        "inner": {"name": "a", "source": "CN"},
+        "items": [{"name": "b", "source": "UN"}, {"name": "c", "source": "CN"}],
+        "tags": ["x", "y"],
+        "by_count": {"10": 0.5, "1": 0.25},
+        "by_source": {"UN": {"k": True}},
+    }
+    assert list(d) == [f.name for f in fields(Written) if f.name != "note"]
+    assert list(d["by_count"]) == ["10", "1"]
+    assert type(d["source"]) is str and type(next(iter(d["by_source"]))) is str
+    assert Written.from_dict(d) == WRITTEN
+
+
+def test_to_dict_leaves_out_an_optional_field_that_is_none():
+    assert "note" not in WRITTEN.to_dict()
+    noted = replace(WRITTEN, note="n")
+    assert list(noted.to_dict())[-1] == "note"
+    assert Written.from_dict(noted.to_dict()) == noted

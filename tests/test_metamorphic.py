@@ -266,7 +266,7 @@ class TestTriggerRelation:
 
 # A model whose every threshold is 0, for worlds drawn without one.
 ZERO_MODEL = ThresholdModel(
-    0.0, {name: {} for name in FEATURES}, DEFAULT_P, FitReport(0.0, 0.0, 0)
+    DEFAULT_P, 0.0, {name: {} for name in FEATURES}, FitReport(0.0, 0.0, 0)
 )
 
 

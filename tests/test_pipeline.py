@@ -412,7 +412,7 @@ class TestRetrieve:
         ],
     )
     def test_page_fields_must_have_their_json_type(self, field, value):
-        page = ResultPage("q1", (SearchResult("a", 0.8, CandidateSource.EBR),), True).to_dict()
+        page = ResultPage("q1", True, (SearchResult("a", 0.8, CandidateSource.EBR),)).to_dict()
         (page if field in page else page["results"][0])[field] = value
         with pytest.raises(TypeError, match=field):
             ResultPage.from_dict(page)
