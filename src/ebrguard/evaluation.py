@@ -111,19 +111,13 @@ def evaluate_run(sessions: Sequence[EvalSession]) -> EvalReport:
 
 
 @dataclass(frozen=True)
-class DeltaReport:
-    """Percent change per metric; None marks a delta with a zero control."""
+class DeltaReport(Record):
+    """Relative change per metric, (test - control) / control; None marks a
+    delta with a zero control. compare --out writes it as delta.json."""
 
     deltas: dict[str, float | None]
     control_sessions: int
     test_sessions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "deltas": self.deltas,
-            "control_sessions": self.control_sessions,
-            "test_sessions": self.test_sessions,
-        }
 
 
 def _pct_delta(control: float, test: float) -> float | None:

@@ -49,16 +49,6 @@ class IntegrityLabel(Record):
     reason: LabelReason
     ts: str | None = None
 
-    def to_dict(self) -> dict:
-        """Record.to_dict, but with "ts": null for no timestamp, as labels.jsonl
-        has always held and perfbench's inputs digest hashes."""
-        return {
-            "doc_id": self.doc_id,
-            "severity": self.severity.value,
-            "reason": self.reason.value,
-            "ts": self.ts,
-        }
-
 
 class LabelStore:
     """Single-writer label map with an append-only audit list.

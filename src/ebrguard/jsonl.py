@@ -2,24 +2,24 @@
 
 Record files (the JSON-lines files and embeddings.tsv) hold one record per
 line, UTF-8, blank lines ignored; read_lines is their one loop. Whole-file
-JSON documents (model.json, report.json) are one indented object. Bad input
-never escapes as a raw JSON, key or type error: it becomes a MalformedRecord
-that names the file and, where known, the 1-based line.
+JSON documents (model.json, report.json, delta.json) are one indented
+object. Bad input never escapes as a raw JSON, key or type error: it
+becomes a MalformedRecord that names the file and, where known, the 1-based
+line.
 
-The one JSON rule lives here, both ways, driven by each dataclass field's
-annotation. Record.from_dict reads str, float, int and bool as such, an enum
-as a JSON string naming a value, a nested Record as an object, tuple[R, ...]
-as a list and dict[K, V] as an object whose entries are read as V and named
-name['key'] in errors; a str key is kept, an int key must be exactly str(k)
-and an enum key a member's value, so no two keys read as one. A field
-annotated X | None may be absent or null; every other field is required;
-other keys are ignored. Record.to_dict is the inverse: fields in field
-order, an enum (value or key) as its value, an int key as str(k), a tuple as
-a list, and an optional field that is None left out. Every record file,
-model.json and report.json follows this rule; a check that belongs to a
-record rather than to JSON is its __post_init__. Only IntegrityLabel writes
-its own to_dict, keeping the "ts": null that labels.jsonl has always held
-and perfbench's inputs digest hashes.
+The one JSON rule lives here, driven by each dataclass field's annotation
+and decided once per annotation for both directions (_codec). str, float,
+int and bool are themselves; an enum is a JSON string naming a value; a
+nested Record is an object; tuple[R, ...] is a list; dict[K, V] is an object
+whose entries are V and are named name['key'] in errors, with a str key
+kept, an int key written as str(k) and an enum key as its value, and a key
+read only if it writes back as itself, so no two keys read as one; X | None
+is X or null. A field annotated X | None may also be absent on reading and
+is left out on writing when None; every other field is required; other
+keys are ignored. Record.from_dict reads and Record.to_dict writes fields in
+field order. Every record file, model.json, report.json and delta.json
+follow this rule; a check that belongs to a record rather than to JSON is
+its __post_init__.
 
 The generic to_dict costs about twice a hand-written one (40-43 against
 21 ms for the 32,000 records gen-data writes at 10k docs, on a shared 2-vCPU
@@ -112,82 +112,87 @@ def _is_enum(hint: Any) -> bool:
     return isinstance(hint, type) and issubclass(hint, Enum)
 
 
-def _read_key(key: type, k: str, name: str) -> Any:
-    """JSON object key k of the dict field named name as a key of type key. A
-    str key is kept; an int or enum key must be what its writer writes."""
-    if key is str:
-        return k
-    try:
-        out = key(k)
-    except ValueError:
-        out = None
-    # int() also takes " 1", "01" and "1_0", none of which str() writes.
-    if out is None or (key is int and str(out) != k):
-        what = "an integer" if key is int else f"a valid {key.__name__}"
-        raise ValueError(f"{name}[{k!r}] key is not {what}")
-    return out
-
-
-def _field_reader(hint: Any) -> Callable[[Any, str], Any]:
-    """The reader of one field value annotated hint, called as reader(value, name)."""
-    if hint in _PRIMITIVE_READERS:
-        return _PRIMITIVE_READERS[hint]
-    if _is_enum(hint):
-        return lambda value, name: hint(json_str(value, name))
-    if isinstance(hint, type) and issubclass(hint, Record):
-        return lambda value, name: hint.from_dict(json_object(value, name))
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item = _field_reader(args[0])
-        return lambda value, name: tuple(item(v, name) for v in json_list(value, name))
-    key = args[0] if typing.get_origin(hint) is dict else None
-    if key is str or key is int or _is_enum(key):
-        entry = _field_reader(args[1])
-        return lambda value, name: {
-            _read_key(key, k, name): entry(v, f"{name}[{k!r}]")
-            for k, v in json_object(value, name).items()
-        }
-    raise NotImplementedError(f"no JSON reader for a field annotated {hint!r}")
-
-
-# A writer maps a field value to its JSON value; None writes the value as it is.
+# A codec is (reader, writer): reader(value, name) reads a JSON value, naming
+# it name in errors; writer maps a value to its JSON value, None meaning as it is.
+_Reader = Callable[[Any, str], Any]
 _Writer = Callable[[Any], Any] | None
 
 
-def _as_is(value: Any) -> Any:
-    return value
+def _key_codec(key: Any) -> tuple[Callable[[str, str], Any], Callable[[Any], str]]:
+    """The codec of a dict key of type key, read as reader(k, name). A key
+    is read only if its writer writes it back as k (int() also takes "01",
+    " 1" and "1_0"), so no two JSON keys read as one key."""
+    if key is not str and key is not int and not _is_enum(key):
+        raise NotImplementedError(f"no JSON codec for a dict key of type {key!r}")
+    write = operator.attrgetter("value") if _is_enum(key) else str
+
+    def read(k: str, name: str) -> Any:
+        try:
+            out = key(k)
+            if write(out) == k:
+                return out
+        except ValueError:
+            pass
+        what = "an integer" if key is int else f"a valid {key.__name__}"
+        raise ValueError(f"{name}[{k!r}] key is not {what}")
+
+    return read, write
 
 
-def _field_writer(hint: Any) -> _Writer:
-    """The writer of one field value annotated hint, the inverse of its reader."""
+def _codec(hint: Any) -> tuple[_Reader, _Writer]:
+    """The reader and writer of one value annotated hint, each the other's inverse."""
     if hint in _PRIMITIVE_READERS:
-        return None
+        return _PRIMITIVE_READERS[hint], None
     if _is_enum(hint):
-        return operator.attrgetter("value")
+        members = {m.value: m for m in hint}
+
+        def read_enum(value: Any, name: str) -> Enum:
+            member = members.get(json_str(value, name))
+            if member is None:
+                raise ValueError(f"{name} {value!r} is not a valid {hint.__name__}")
+            return member
+
+        return read_enum, operator.attrgetter("value")
     if isinstance(hint, type) and issubclass(hint, Record):
-        return hint.to_dict
+        return lambda value, name: hint.from_dict(json_object(value, name)), hint.to_dict
     args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        read, write = _codec(args[0])
+        return (
+            lambda value, name: None if value is None else read(value, name),
+            write and (lambda value: None if value is None else write(value)),
+        )
     if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item = _field_writer(args[0])
-        return list if item is None else lambda value: [item(v) for v in value]
+        read, write = _codec(args[0])
+        return (
+            lambda value, name: tuple(read(v, name) for v in json_list(value, name)),
+            list if write is None else lambda value: [write(v) for v in value],
+        )
     if typing.get_origin(hint) is dict:
-        # _field_reader has already refused any key but str, int or an enum.
-        key = _as_is if args[0] is str else str if args[0] is int else operator.attrgetter("value")
-        entry = _field_writer(args[1]) or _as_is
-        return lambda value: {key(k): entry(v) for k, v in value.items()}
-    raise NotImplementedError(f"no JSON writer for a field annotated {hint!r}")
+        read_key, write_key = _key_codec(args[0])
+        read, write = _codec(args[1])
+        entry = write or (lambda v: v)
+        return (
+            lambda value, name: {
+                read_key(k, name): read(v, f"{name}[{k!r}]")
+                for k, v in json_object(value, name).items()
+            },
+            lambda value: {write_key(k): entry(v) for k, v in value.items()},
+        )
+    raise NotImplementedError(f"no JSON codec for a value annotated {hint!r}")
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, Callable[[Any, str], Any], _Writer, bool], ...]:
-    """(name, reader, writer, optional) per dataclass field of cls, in field order."""
+def _plan(cls: type) -> tuple[tuple[str, _Reader, _Writer, bool], ...]:
+    """(name, reader, writer, optional) per dataclass field of cls, in field
+    order. An optional field, X | None, gets X's codec: Record itself reads
+    it as None when absent or null and leaves it out when None."""
     hints = typing.get_type_hints(cls)
     plan = []
     for f in dataclasses.fields(cls):
         args = typing.get_args(hints[f.name])
         optional = type(None) in args
-        hint = args[0] if optional else hints[f.name]
-        plan.append((f.name, _field_reader(hint), _field_writer(hint), optional))
+        plan.append((f.name, *_codec(args[0] if optional else hints[f.name]), optional))
     return tuple(plan)
 
 

@@ -753,7 +753,7 @@ class TestBadInputExitsOne:
             "--out", str(out),
         )
         assert code == 1
-        assert err == f"error: {queries}:2: 'Personname' is not a valid Intent\n"
+        assert err == f"error: {queries}:2: intent 'Personname' is not a valid Intent\n"
         assert not out.exists()
 
     def test_fit_thresholds_log_with_unknown_intent_names_file_and_line(
@@ -769,7 +769,7 @@ class TestBadInputExitsOne:
             "--out", str(tmp_path / "model.json"),
         )
         assert code == 1
-        assert err == f"error: {log}:2: 'Personname' is not a valid Intent\n"
+        assert err == f"error: {log}:2: query_intent 'Personname' is not a valid Intent\n"
         assert not (tmp_path / "model.json").exists()
 
     def test_fit_thresholds_empty_log_names_file(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ebrguard.corpus import Document, EngagementRecord, Query, RelevanceJudgment
-from ebrguard.evaluation import EvalReport
+from ebrguard.evaluation import DeltaReport, EvalReport
 from ebrguard.integrity import IntegrityLabel
 from ebrguard.pipeline import ResultPage
 from ebrguard.thresholds import ThresholdModel
@@ -30,6 +30,7 @@ READERS = {
     "model.json": ThresholdModel.from_dict,
     "results.jsonl": ResultPage.from_dict,
     "report.json": EvalReport.from_dict,
+    "delta.json": DeltaReport.from_dict,
 }
 
 

@@ -45,7 +45,7 @@ def test_every_enum_field_reads_only_a_string_naming_a_value(record, field):
     for bad in (5, ["x"], True):
         with pytest.raises(TypeError, match=f"{field} .* is not a string"):
             type(record).from_dict({**d, field: bad})
-    with pytest.raises(ValueError, match="'Nope' is not a valid"):
+    with pytest.raises(ValueError, match=f"{field} 'Nope' is not a valid"):
         type(record).from_dict({**d, field: "Nope"})
 
 
