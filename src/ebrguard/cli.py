@@ -131,6 +131,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             args.embeddings, None, f"no embedding for doc_id {missing!r} of corpus {args.corpus}"
         )
     index = build_index(docs, embeddings)
+    # The index holds its own unit rows, so the parsed vectors (7 MB at 10k
+    # docs, growing with n) go now rather than sit beside the text index and
+    # every query.
+    del embeddings
     # Queries are embedded at the file's dimension, so a file the query tower
     # cannot embed into fails here rather than at the first query.
     if docs and index.dim < MIN_DIM:

@@ -10,8 +10,9 @@ line.
 The one JSON rule lives here, driven by each dataclass field's annotation
 and decided once per annotation for both directions (_codec). str, float,
 int and bool are themselves; an enum is a JSON string naming a value; a
-nested Record is an object; tuple[R, ...] is a list; dict[K, V] is an object
-whose entries are V and are named name['key'] in errors, with a str key
+nested Record is an object whose fields are named name.field in errors;
+tuple[R, ...] is a list whose items are named name[i]; dict[K, V] is an
+object whose entries are V and are named name['key'], with a str key
 kept, an int key written as str(k) and an enum key as its value, and a key
 read only if it writes back as itself, so no two keys read as one; X | None
 is X or null. A field annotated X | None may also be absent on reading and
@@ -154,7 +155,10 @@ def _codec(hint: Any) -> tuple[_Reader, _Writer]:
 
         return read_enum, operator.attrgetter("value")
     if isinstance(hint, type) and issubclass(hint, Record):
-        return lambda value, name: hint.from_dict(json_object(value, name)), hint.to_dict
+        return (
+            lambda value, name: _read_record(hint, json_object(value, name), f"{name}."),
+            hint.to_dict,
+        )
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         read, write = _codec(args[0])
@@ -165,7 +169,9 @@ def _codec(hint: Any) -> tuple[_Reader, _Writer]:
     if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
         read, write = _codec(args[0])
         return (
-            lambda value, name: tuple(read(v, name) for v in json_list(value, name)),
+            lambda value, name: tuple(
+                read(v, f"{name}[{i}]") for i, v in enumerate(json_list(value, name))
+            ),
             list if write is None else lambda value: [write(v) for v in value],
         )
     if typing.get_origin(hint) is dict:
@@ -196,6 +202,22 @@ def _plan(cls: type) -> tuple[tuple[str, _Reader, _Writer, bool], ...]:
     return tuple(plan)
 
 
+def _read_record(cls: type[_T], d: dict, prefix: str) -> _T:
+    """Record.from_dict, each field named prefix + field in errors: "" at the
+    top of a file's object, "segment." inside its segment. A nested record is
+    read by the rule alone, not by an override of its from_dict."""
+    values = []
+    for name, read, _, optional in _plan(cls):
+        value = d.get(name)
+        if value is None and optional:
+            values.append(None)
+        elif value is None and name not in d:
+            raise KeyError(prefix + name)
+        else:
+            values.append(read(value, prefix + name))
+    return cls(*values)
+
+
 class Record:
     """Mixin for a dataclass read from and written to a JSON object by the module's one rule."""
 
@@ -205,13 +227,7 @@ class Record:
     def from_dict(cls: type[_T], d: dict) -> _T:
         """cls from the JSON object d; KeyError for a missing required field,
         TypeError or ValueError for a value of the wrong JSON type or range."""
-        values = []
-        for name, read, _, optional in _plan(cls):
-            if optional and d.get(name) is None:
-                values.append(None)
-            else:
-                values.append(read(d[name], name))
-        return cls(*values)
+        return _read_record(cls, d, "")
 
     def to_dict(self) -> dict:
         """The JSON object of self, fields in field order; an optional field
@@ -229,19 +245,32 @@ def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
     """parse of every nonblank line of path, newline removed, in file order.
 
     parse signals a bad line with KeyError, ValueError or TypeError; each
-    becomes a MalformedRecord for that line.
+    becomes a MalformedRecord for that line, as does a line holding a byte
+    that is not UTF-8.
     """
     records: list[_T] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    # surrogateescape keeps each undecodable byte on its own line, as a lone
+    # surrogate that strict UTF-8 will not encode.
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    _check_utf8(line)
                 records.append(parse(line.rstrip("\n")))
             # json.JSONDecodeError is a ValueError.
             except (KeyError, ValueError, TypeError) as exc:
                 raise _malformed(path, exc, line_no) from exc
     return records
+
+
+def _check_utf8(line: str) -> None:
+    """ValueError if line, read with surrogateescape, held a byte that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"invalid UTF-8: byte 0x{ord(line[exc.start]) - 0xDC00:02x}") from None
 
 
 def _loads_object(text: str) -> dict:

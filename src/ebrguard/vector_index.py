@@ -15,6 +15,15 @@ remove_many shares every array and returns a value with a new live mask.
 Dead rows are never compacted; the index never grows, so they never
 outnumber the rows built.
 
+The build works in bounded chunks of _CHUNK_ELEMENTS values, in the grouped
+layout: it copies each chunk's rows into the preallocated float64 array,
+takes their norms, checks them, scales the chunk in place and writes its
+float32 screen. A whole-matrix norm would allocate an n x d float64 product
+(51 MB at 100k docs, d=64) beside the rows, and a whole-matrix check an
+n x d bool; chunked, no temporary grows with n x d. Each row's norm reduces
+along its own contiguous axis, so the stored bits do not depend on the
+chunking.
+
 Score of record. A doc's raw_score is its row of the live block, in corpus
 order, scanned against the unit query with one single-threaded
 np.clip(rows @ q_unit, -1, 1), and must stay bit for bit so. OpenBLAS's
@@ -101,6 +110,12 @@ _CHUNK_ELEMENTS = 1 << 16
 # Values per screen chunk: below the cut-over too, but large, since each
 # BLAS call costs a few microseconds of its own.
 _SCREEN_CHUNK_ELEMENTS = 1 << 18
+# The least norm a nonzero row may have. A squared norm past float64's
+# range reads inf, and one below its least normal, 2**-1022, has lost bits
+# or reads 0 (a row of 1e-162s would be stored with norm 1.65); neither row
+# can be scaled to unit norm. sqrt is exact at 2**-1022 and monotone, so
+# norm < 2**-511 exactly when the squared norm is below 2**-1022.
+_MIN_NORM = 2.0**-511
 
 
 class CandidateSource(str, Enum):
@@ -245,8 +260,11 @@ class Index:
 def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) -> Index:
     """Assemble an index over docs in corpus order; every doc needs a vector.
 
-    The one place rows are checked (one vector per doc_id, all finite) and
-    scaled to unit norm; a zero row stays zero.
+    The one place rows are checked (one vector per doc_id, each finite and,
+    unless zero, with a squared norm in float64's normal range) and scaled
+    to unit norm; a zero row stays zero. Rows are copied, checked and scaled a chunk at a time in
+    the grouped layout (module docstring); a rejected row is named by its
+    doc_id, the first in corpus order if there are several.
     """
     ids = [d.doc_id for d in docs]
     repeated = first_repeat(ids)
@@ -263,23 +281,44 @@ def build_index(docs: Sequence[Document], embeddings: Mapping[str, np.ndarray]) 
     dim = dims.pop() if dims else 0
     members = {st: [i for i, d in enumerate(docs) if d.source_type == st] for st in SourceType}
     order = np.array([i for m in members.values() for i in m], dtype=np.intp)
-    matrix = np.vstack([rows[i] for i in order]) if rows else np.zeros((0, dim), dtype=np.float64)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise InvalidParameter(f"non-finite embedding for doc_id {ids[order[~finite].min()]!r}")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    matrix /= norms
+    n = len(order)
+    matrix = np.empty((n, dim))
+    screen = np.empty((n, dim), dtype=np.float32)
+    step = max(1, _CHUNK_ELEMENTS // max(1, dim))
+    first_bad = n  # corpus position of the first rejected row, n if none
+    for start in range(0, n, step):
+        chunk = matrix[start : start + step]
+        at = order[start : start + step]
+        chunk[...] = [rows[i] for i in at.tolist()]
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(chunk, axis=1, keepdims=True)
+        small = norms[:, 0] < _MIN_NORM
+        rejected = ~np.isfinite(norms[:, 0]) | (small & chunk.any(axis=1))
+        if rejected.any():
+            first_bad = min(first_bad, int(at[rejected].min()))
+        # Past a rejected row, chunks are only checked, for a corpus-earlier one.
+        if first_bad < n:
+            continue
+        norms[small] = 1.0
+        chunk /= norms
+        screen[start : start + step] = chunk
+    if first_bad < n:
+        doc_id = ids[first_bad]
+        if not np.isfinite(rows[first_bad]).all():
+            raise InvalidParameter(f"non-finite embedding for doc_id {doc_id!r}")
+        raise InvalidParameter(
+            f"embedding for doc_id {doc_id!r} has a squared norm"
+            " outside float64's normal range"
+        )
     id_array = np.array(ids, dtype=object)[order]
-    screen = matrix.astype(np.float32)
-    live = np.ones(len(order), dtype=bool)
+    live = np.ones(n, dtype=bool)
     blocks, start = {}, 0
     for st, m in members.items():
         if m:
             span = slice(start, start + len(m))
             blocks[st] = _Block(span, id_array[span], matrix[span], live[span])
             start = span.stop
-    return Index(blocks, dict(zip(id_array.tolist(), range(len(order)))), live, screen, dim)
+    return Index(blocks, dict(zip(id_array.tolist(), range(n))), live, screen, dim)
 
 
 def topk(

@@ -460,7 +460,8 @@ class TestBadInputExitsOne:
             "--out", str(tmp_path / "report.json"),
         )
         assert code == 1
-        assert err.startswith(f"error: {results}:2: {field} {value!r} is not a string")
+        name = field if field == "query_id" else f"results[0].{field}"
+        assert err.startswith(f"error: {results}:2: {name} {value!r} is not a string")
         assert not (tmp_path / "report.json").exists()
 
     def test_search_label_doc_id_not_a_string_names_file_and_line(
@@ -573,7 +574,7 @@ class TestBadInputExitsOne:
                 ("coefficients", "language", "en"), float("-inf"),
                 "coefficients['language']['en'] -inf is not a finite number",
             ),
-            (("fit_report", "n_segments"), 2.9, "n_segments 2.9 is not an integer"),
+            (("fit_report", "n_segments"), 2.9, "fit_report.n_segments 2.9 is not an integer"),
         ],
         ids=[
             "str-intercept", "nan-intercept", "bool-coefficient", "inf-coefficient", "float-count"
@@ -769,7 +770,22 @@ class TestBadInputExitsOne:
             "--out", str(tmp_path / "model.json"),
         )
         assert code == 1
-        assert err == f"error: {log}:2: query_intent 'Personname' is not a valid Intent\n"
+        assert err == f"error: {log}:2: segment.query_intent 'Personname' is not a valid Intent\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_fit_thresholds_log_with_invalid_utf8_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        lines = (workdir / "data" / "engagement.jsonl").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"query_id": "', b'"query_id": "\xff', 1)
+        log = tmp_path / "engagement.jsonl"
+        log.write_bytes(b"".join(lines))
+        code, _, err = run(
+            capsys, "fit-thresholds", "--log", str(log), "--min-support", "5",
+            "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 1
+        assert err == f"error: {log}:3: invalid UTF-8: byte 0xff\n"
         assert not (tmp_path / "model.json").exists()
 
     def test_fit_thresholds_empty_log_names_file(self, tmp_path, capsys):
@@ -908,6 +924,49 @@ class TestBadInputExitsOne:
         assert code == 1
         assert err.startswith(f"error: {embeddings}: dimension 4 is below")
         assert not (tmp_path / "results.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "value", ["1e308", "1e-200", "1e-160"], ids=["overflows", "underflows", "subnormal"]
+    )
+    def test_search_embedding_whose_squared_norm_leaves_float64_names_doc(
+        self, workdir, tmp_path, capsys, value
+    ):
+        """A row of 1e308s squares to inf, one of 1e-200s to 0 and one of
+        1e-160s to a subnormal that has lost bits: none can be scaled to unit
+        norm, and numpy would only warn (or not even that)."""
+        built = (workdir / "index" / "embeddings.tsv").read_text().splitlines(keepends=True)
+        doc_id, vector = built[100].rstrip("\n").split("\t")
+        built[100] = f"{doc_id}\t{','.join([value] * len(vector.split(',')))}\n"
+        embeddings = tmp_path / "embeddings.tsv"
+        embeddings.write_text("".join(built))
+        data = workdir / "data"
+        code, _, err = run(
+            capsys, "search", "--queries", str(data / "queries.jsonl"),
+            "--corpus", str(data / "corpus.jsonl"), "--embeddings", str(embeddings),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err == (
+            f"error: embedding for doc_id {doc_id!r} has a squared norm"
+            " outside float64's normal range\n"
+        )
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_search_embeddings_with_invalid_utf8_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        built = (workdir / "index" / "embeddings.tsv").read_bytes().splitlines(keepends=True)
+        built[100] = built[100].replace(b",", b",\xff", 1)
+        embeddings = tmp_path / "embeddings.tsv"
+        embeddings.write_bytes(b"".join(built))
+        data = workdir / "data"
+        code, _, err = run(
+            capsys, "search", "--queries", str(data / "queries.jsonl"),
+            "--corpus", str(data / "corpus.jsonl"), "--embeddings", str(embeddings),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err == f"error: {embeddings}:101: invalid UTF-8: byte 0xff\n"
 
     def test_search_empty_corpus_and_embeddings_has_no_dimension_to_check(
         self, workdir, tmp_path, capsys

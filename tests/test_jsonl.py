@@ -7,8 +7,9 @@ from dataclasses import dataclass, fields, replace
 import pytest
 
 from ebrguard.corpus import FailureCategory, Intent, Query, RelevanceJudgment, SourceType
+from ebrguard.errors import MalformedRecord
 from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
-from ebrguard.jsonl import Record, json_number
+from ebrguard.jsonl import Record, json_number, read_lines
 from ebrguard.pipeline import SearchResult
 from ebrguard.triggers import TriggerAction, TriggerRule
 from ebrguard.vector_index import CandidateSource
@@ -162,3 +163,27 @@ def test_to_dict_leaves_out_an_optional_field_that_is_none():
     noted = replace(WRITTEN, note="n")
     assert list(noted.to_dict())[-1] == "note"
     assert Written.from_dict(noted.to_dict()) == noted
+
+
+def test_errors_in_nested_records_and_list_items_name_their_path():
+    d = WRITTEN.to_dict()
+    with pytest.raises(ValueError, match=re.escape("inner.source 'XN' is not a valid SourceType")):
+        Written.from_dict({**d, "inner": {"name": "a", "source": "XN"}})
+    with pytest.raises(KeyError, match=re.escape("inner.name")):
+        Written.from_dict({**d, "inner": {"source": "CN"}})
+    items = [d["items"][0], {"name": 7, "source": "CN"}]
+    with pytest.raises(TypeError, match=re.escape("items[1].name 7 is not a string")):
+        Written.from_dict({**d, "items": items})
+    with pytest.raises(TypeError, match=re.escape("tags[1] 2 is not a string")):
+        Written.from_dict({**d, "tags": ["x", 2]})
+    with pytest.raises(TypeError, match=re.escape("items[0] 'b' is not an object")):
+        Written.from_dict({**d, "items": ["b"]})
+
+
+def test_read_lines_splits_on_every_newline_and_names_an_undecodable_line(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\r\nb\rc\n\né\n".encode())
+    assert read_lines(path, str) == ["a", "b", "c", "é"]
+    path.write_bytes(b"a\r\nb\xe9\n")
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:2: invalid UTF-8: byte 0xe9")):
+        read_lines(path, str)

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,78 @@ class TestBuildIndex:
             build_index(docs, embeddings)
 
 
+def chunked_fixture(rng, n, d):
+    """n docs alternating CN/UN, random rows of mixed scale, doc 3 a zero row."""
+    docs = [
+        make_doc(f"d{i:05d}", source_type=SourceType.UN if i % 2 else SourceType.CN)
+        for i in range(n)
+    ]
+    matrix = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+    matrix[3] = 0.0
+    return docs, {doc.doc_id: row for doc, row in zip(docs, matrix)}
+
+
+class TestChunkedBuild:
+    """build_index copies, checks and scales rows a chunk at a time, in the
+    grouped layout; none of that may show in a stored bit or an error."""
+
+    def test_rows_and_screen_equal_a_whole_matrix_scaling_bit_for_bit(self):
+        d = 16
+        n = 3 * (_CHUNK_ELEMENTS // d) + 5
+        docs, embeddings = chunked_fixture(np.random.default_rng(31), n, d)
+        index = build_index(docs, embeddings)
+        for st in SourceType:
+            block = index._blocks[st]
+            ids = [doc.doc_id for doc in docs if doc.source_type is st]
+            assert block.ids.tolist() == ids
+            # How perfbench's RefIndex scales: one norm call over the whole matrix.
+            m = np.array([embeddings[doc_id] for doc_id in ids])
+            norms = np.linalg.norm(m, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            m = m / norms
+            assert block.rows.tobytes() == m.tobytes()
+            assert index._screen[block.span].tobytes() == m.astype(np.float32).tobytes()
+        un = index._blocks[SourceType.UN]
+        assert not un.rows[list(un.ids).index("d00003")].any()
+
+    @pytest.mark.parametrize(
+        ("first", "message"),
+        [(np.nan, "non-finite embedding"), (1e300, "squared norm outside float64's normal")],
+        ids=["non-finite", "norm-overflows"],
+    )
+    def test_the_corpus_first_rejected_row_is_named_though_a_later_chunk_holds_it(
+        self, first, message
+    ):
+        """Grouped order puts every CN row first, so the UN doc d00001 sits in
+        a later chunk than the CN doc d00002; the corpus-first one is named."""
+        d = 16
+        n = 2 * (_CHUNK_ELEMENTS // d) + 100
+        docs, embeddings = chunked_fixture(np.random.default_rng(32), n, d)
+        embeddings["d00001"][5] = first
+        embeddings["d00002"][7] = np.inf
+        with pytest.raises(InvalidParameter, match="'d00001'") as caught:
+            build_index(docs, embeddings)
+        assert message in str(caught.value)
+
+    def test_transient_memory_does_not_grow_with_dimension(self):
+        """Traced peak less what the index keeps must not grow with d. A
+        whole-matrix norm would hold an n x d float64 product beside the rows
+        before the float32 screen exists: 19 MB more at d=256 than at 16."""
+
+        def transient(d):
+            docs, embeddings = chunked_fixture(np.random.default_rng(33), 20_000, d)
+            tracemalloc.start()
+            try:
+                index = build_index(docs, embeddings)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(index) == 20_000
+            return peak - retained
+
+        assert transient(256) - transient(16) < 1 << 20
+
+
 class TestTopk:
     def test_k_larger_than_corpus_returns_everything_sorted(self):
         rng = np.random.default_rng(2)
@@ -276,6 +349,18 @@ class TestValidation:
         docs = [make_doc(doc_id) for doc_id in ("a", "b", "c")]
         with pytest.raises(InvalidParameter, match="'b'"):
             build_index(docs, dict(zip(("a", "b", "c"), matrix)))
+
+    def test_row_whose_squared_norm_is_not_normal_rejected(self):
+        """Squares of 1e-160 are subnormal, so the norm has lost bits; scaled
+        by 2**-500 instead, the squares stay normal and the row is stored as
+        the unscaled one is."""
+        v = random_unit(np.random.default_rng(13), 16)
+        docs = [make_doc("a"), make_doc("b")]
+        with pytest.raises(InvalidParameter, match="'b' has a squared norm outside"):
+            build_index(docs, {"a": v, "b": v * 1e-160})
+        index = build_index(docs, {"a": v, "b": v * 2.0**-500})
+        rows = index._blocks[SourceType.UN].rows
+        assert rows[1].tobytes() == rows[0].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):
