@@ -54,8 +54,9 @@ class Side(str, Enum):
     DOC = "DocTower"
 
 
-def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
-    """FNV-1a of data, continuing from state h (the offset basis by default)."""
+def _fnv1a(data: bytes) -> int:
+    """FNV-1a of data."""
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -90,10 +91,14 @@ def _embed(lowered: str, salted: int, d: int, slots: dict[str, tuple[int, float]
         gram = lowered[i : i + 3]
         slot = slots.get(gram)
         if slot is None:
-            data = gram.encode("utf-8")
+            # The unsalted (bucket) and salted (weight) FNV-1a states, in one pass.
+            h, hs = _FNV_OFFSET, salted
+            for byte in gram.encode("utf-8"):
+                h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+                hs = ((hs ^ byte) * _FNV_PRIME) & _MASK64
             # Map the salted hash to [-1, 1) and use it to spread weights per side.
-            jitter = ((_fnv1a(data, salted) >> 11) / float(1 << 53)) * 2.0 - 1.0
-            slot = slots[gram] = (_fnv1a(data) % d, 1.0 + _WEIGHT_SPREAD * jitter)
+            jitter = ((hs >> 11) / float(1 << 53)) * 2.0 - 1.0
+            slot = slots[gram] = (h % d, 1.0 + _WEIGHT_SPREAD * jitter)
         bucket, weight = slot
         acc[bucket] += weight
     v = np.array(acc, dtype=np.float64)

@@ -81,6 +81,20 @@ class EvalReport(Record):
     failure_breakdown: dict[FailureCategory, float]
     n_sessions: int
 
+    def __post_init__(self) -> None:
+        """ValueError for an NDCG, NONREC rate or failure share outside [0, 1],
+        or fewer than one session: values evaluate_run cannot produce."""
+        shares = [
+            *((f"ndcg_at[{str(k)!r}]", v) for k, v in self.ndcg_at.items()),
+            ("nonrec_rate", self.nonrec_rate),
+            *((f"failure_breakdown[{c.value!r}]", v) for c, v in self.failure_breakdown.items()),
+        ]
+        for name, value in shares:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} {value!r} is outside [0, 1]")
+        if self.n_sessions < 1:
+            raise ValueError(f"n_sessions {self.n_sessions!r} is below 1")
+
 
 def evaluate_run(sessions: Sequence[EvalSession]) -> EvalReport:
     """Mean NDCG@k over NDCG_KS, NONREC rate, and the failure mix among returned grade-0 docs."""

@@ -100,6 +100,8 @@ def apply_demotion(results: Sequence[_R], store: LabelStore) -> list[_R]:
     Relative order inside the kept block and inside the demoted block is
     preserved. Removable entries are deleted outright as defense in depth for
     results that arrived through a path that bypassed index removal.
+    pipeline.retrieve does the same over its tuple rows; this is the
+    reference its pages are checked against.
     """
     kept: list[_R] = []
     demoted: list[_R] = []

@@ -255,9 +255,9 @@ def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                _check_utf8(path, line, line_no)
             try:
-                if not line.isascii():
-                    _check_utf8(line)
                 records.append(parse(line.rstrip("\n")))
             # json.JSONDecodeError is a ValueError.
             except (KeyError, ValueError, TypeError) as exc:
@@ -265,12 +265,20 @@ def read_lines(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
     return records
 
 
-def _check_utf8(line: str) -> None:
-    """ValueError if line, read with surrogateescape, held a byte that is not UTF-8."""
+def _check_utf8(path: str | Path, text: str, line_no: int) -> None:
+    """MalformedRecord at the line of text's first byte that is not UTF-8, if any.
+
+    text was read from path with surrogateescape and universal newlines, so
+    every line break in it is a "\n", and it starts at line line_no.
+    """
     try:
-        line.encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ValueError(f"invalid UTF-8: byte 0x{ord(line[exc.start]) - 0xDC00:02x}") from None
+        raise MalformedRecord(
+            str(path),
+            line_no + text.count("\n", 0, exc.start),
+            f"invalid UTF-8: byte 0x{ord(text[exc.start]) - 0xDC00:02x}",
+        ) from None
 
 
 def _loads_object(text: str) -> dict:
@@ -295,10 +303,14 @@ def read_json(path: str | Path, from_dict: Callable[[dict], _T]) -> _T:
     """A whole-file JSON document at path, passed to from_dict.
 
     Broken JSON, a document that is not a JSON object, or a KeyError,
-    ValueError or TypeError from from_dict raises MalformedRecord for the file.
+    ValueError or TypeError from from_dict raises MalformedRecord for the file;
+    a byte that is not UTF-8 raises it for that byte's line, as read_lines does.
     """
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    if not text.isascii():
+        _check_utf8(path, text, 1)
     try:
-        return from_dict(_loads_object(Path(path).read_text(encoding="utf-8")))
+        return from_dict(_loads_object(text))
     # json.JSONDecodeError is a ValueError.
     except (KeyError, ValueError, TypeError) as exc:
         raise _malformed(path, exc) from exc

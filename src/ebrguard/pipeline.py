@@ -12,6 +12,14 @@ Score conventions baked in here:
   doc_id ascending; a doc retrieved by both routes keeps its higher score.
   Text overlap scores and calibrated EBR scores share one axis by
   convention, documented rather than reconciled.
+
+retrieve keeps page rows as (-score, route, doc_id) tuples until the cut:
+one sort merges both routes, one pass drops repeats and Removable docs and
+moves Demotable ones after the rest, and it stops once k rows are kept, so
+a SearchResult is built only for the k or fewer rows of the page.
+apply_threshold, merge_candidates and integrity.apply_demotion do the same
+steps over SearchResults, one at a time; they are the reference retrieve's
+pages are checked against, in tests and in the benchmark's correctness gate.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 from .corpus import Query, SegmentKey, first_repeat
 from .embedder import Side, embed_text
 from .errors import InvalidParameter
-from .integrity import LabelStore, apply_demotion
+from .integrity import LabelStore, Severity
 from .jsonl import Record
 from .text_retrieval import InvertedIndex, search_text_pairs
 from .thresholds import ThresholdModel, predict_threshold
@@ -101,17 +109,24 @@ class RetrievalConfig:
 def apply_threshold(results: list[SearchResult], threshold: float) -> list[SearchResult]:
     """Keep results with transformed_score >= threshold, order preserved.
 
-    Pass float("-inf") to keep everything (the no-discard baseline).
+    Pass float("-inf") to keep everything (the no-discard baseline). The
+    reference for retrieve's discard, which cuts its tuple rows the same way.
     """
     return [r for r in results if r.transformed_score >= threshold]
 
 
-_SOURCE_RANK = {CandidateSource.EBR: 0, CandidateSource.TEXT: 1}
+# Sources in merge order: EBR wins an exact score tie. A tuple row's route is
+# its source's index here.
+_ROUTES = (CandidateSource.EBR, CandidateSource.TEXT)
+_SOURCE_RANK = {source: route for route, source in enumerate(_ROUTES)}
 
 
 def merge_candidates(ebr: list[SearchResult], text: list[SearchResult]) -> list[SearchResult]:
     """All rows sorted by score desc / EBR-first / doc_id asc, keeping each
-    doc_id's first row: the higher-scored route, EBR on exact ties."""
+    doc_id's first row: the higher-scored route, EBR on exact ties.
+
+    The reference for retrieve's merge, which sorts (-score, route, doc_id)
+    tuples in the same order (module docstring)."""
     first: dict[str, SearchResult] = {}
     for row in sorted(
         [*ebr, *text], key=lambda r: (-r.transformed_score, _SOURCE_RANK[r.source], r.doc_id)
@@ -138,8 +153,10 @@ def retrieve(
     type) segment's predicted threshold; with no model the threshold is
     -inf, keeping everything. Text-retrieval candidates are merged in, the
     integrity store demotes or deletes labeled docs, and the page is cut to
-    k rows. With every present source disabled, ebr_triggered is False and
-    results come solely from text retrieval.
+    k rows: the page apply_threshold, merge_candidates and apply_demotion
+    build, with SearchResults for the page rows only (module docstring).
+    With every present source disabled, ebr_triggered is False and results
+    come solely from text retrieval.
     """
     enabled = [
         st
@@ -147,10 +164,12 @@ def retrieve(
         if trigger_rules.evaluate(query.intent, st, query.country)
         is TriggerAction.ENABLE
     ]
-    ebr_rows: list[SearchResult] = []
+    k = config.k
+    # Page rows are (-score, route, doc_id) tuples until the cut (route: _ROUTES).
+    rows: list[tuple[float, int, str]] = []
     if enabled:
         query_vec = embed_text(query.text, Side.QUERY, index.dim)
-        for st, pairs in zip(enabled, topk_each(index, query_vec, config.k, enabled)):
+        for st, pairs in zip(enabled, topk_each(index, query_vec, k, enabled)):
             segment = SegmentKey(
                 user_country=query.country,
                 language=query.language,
@@ -166,20 +185,38 @@ def retrieve(
             scores = sigmoid_transform(
                 np.array([score for score, _ in pairs], dtype=np.float64), config.sigmoid
             )
-            rows = [
-                SearchResult(doc_id=doc_id, transformed_score=s, source=CandidateSource.EBR)
+            rows.extend(
+                (-s, 0, doc_id)
                 for (_, doc_id), s in zip(pairs, scores.tolist())
-            ]
-            ebr_rows.extend(apply_threshold(rows, threshold))
+                if s >= threshold
+            )
+    rows.extend((-score, 1, doc_id) for score, doc_id in search_text_pairs(text_index, query, k))
+    rows.sort()
 
-    text_rows = [
-        SearchResult(doc_id=doc_id, transformed_score=score, source=CandidateSource.TEXT)
-        for score, doc_id in search_text_pairs(text_index, query, config.k)
-    ]
-    merged = merge_candidates(ebr_rows, text_rows)
-    final = apply_demotion(merged, integrity_store)[: config.k]
+    # merge_candidates, then apply_demotion, then the cut to k.
+    seen: set[str] = set()
+    kept: list[tuple[float, int, str]] = []
+    demoted: list[tuple[float, int, str]] = []
+    for row in rows:
+        doc_id = row[2]
+        if doc_id in seen:
+            continue
+        seen.add(doc_id)
+        lab = integrity_store.lookup(doc_id)
+        if lab is None:
+            kept.append(row)
+            if len(kept) == k:
+                break
+        elif lab.severity is not Severity.REMOVABLE:
+            demoted.append(row)
     return ResultPage(
-        query_id=query.query_id,
-        results=tuple(final),
-        ebr_triggered=bool(enabled),
+        query.query_id,
+        bool(enabled),
+        tuple(
+            [SearchResult(doc_id, -neg, _ROUTES[route]) for neg, route, doc_id in kept]
+            + [
+                SearchResult(doc_id, -neg, _ROUTES[route], True)
+                for neg, route, doc_id in demoted[: k - len(kept)]
+            ]
+        ),
     )

@@ -50,19 +50,29 @@ one-source case. In three steps:
    threaded or not (below), so the chunking, like the thread count, could
    change the pool but never a raw_score.
 2. Rescore the pool in float64, laid out so that each pooled row gets the
-   bits the full scan of the live block gives it: the pooled rows of the
-   main region (all live rows but the last n_live % 4), zero-padded to a
-   multiple of 4 rows and to at least 4, followed by the last n_live % 4
-   live rows in order, pooled or not. A block with fewer than 4 live rows
-   is rescored as those rows alone, which is its full scan. The matrix is
-   scanned in chunks of a multiple of 4 rows under _CHUNK_ELEMENTS values
-   (1,024 rows at d=64), well below the threading cut-over, and the tail
-   rides in the last chunk; so k >= n_live takes the same path, and scores
-   are those of a single-threaded full scan whatever the thread count.
-3. best_k over the pool: every entry scoring at least the k-th score
-   (tie-complete) is sorted by (-score, doc_id), the order merge_candidates
-   also uses. search_text selects with the same best_k, keyed by doc ranks
-   that follow doc_id order, so its order is (-score, doc_id) too.
+   bits the full scan of the live block gives it. One row gather builds
+   the matrix: 0-4 pad rows, then the pooled rows of the main region (all
+   live rows but the last n_live % 4), together a multiple of 4 rows and
+   at least 4, then the last n_live % 4 live rows in order, pooled or not.
+   The pad rows are the block's first live rows, and their scores are
+   dropped. Padding with real rows rather than zeros keeps every bit: in
+   the 4-row kernel each row's dot product has its own accumulators, so a
+   main-region row's bits do not depend on which rows share its group.
+   Only the tail must sit where the full scan puts it, in the remainder
+   kernels after the last whole group. A block with fewer than 4 live
+   rows is rescored as those rows alone, which is its full scan. One gemv
+   scans the gather unless its pad and main rows pass one chunk of
+   _CHUNK_ELEMENTS values (1,024 rows at d=64); a longer one is scanned in
+   chunks of that many rows, a multiple of 4 well below the threading
+   cut-over, with the tail in the last chunk. So k >= n_live takes the
+   same path, and scores are those of a single-threaded full scan
+   whatever the thread count.
+3. best_k over the pool: it is sorted by (-score, doc_id), the order
+   merge_candidates also uses, after a tie-complete cut to the rows
+   scoring at least the k-th score when the pool holds more than
+   _PARTITION_FACTOR * k rows. search_text selects with the same best_k,
+   keyed by doc ranks that follow doc_id order, so its order is
+   (-score, doc_id) too.
 
 The margin B (screen_margin). Let r be a float64 unit row, q the float64
 unit query and qn = max(1, |q|); qn is 1 up to rounding unless |q|**2
@@ -110,6 +120,9 @@ _CHUNK_ELEMENTS = 1 << 16
 # Values per screen chunk: below the cut-over too, but large, since each
 # BLAS call costs a few microseconds of its own.
 _SCREEN_CHUNK_ELEMENTS = 1 << 18
+# best_k partitions a pool only past this many times k entries; a rescored
+# pool (about k plus a few near-ties, plus up to 3 tail rows) is sorted whole.
+_PARTITION_FACTOR = 4
 # The least norm a nonzero row may have. A squared norm past float64's
 # range reads inf, and one below its least normal, 2**-1022, has lost bits
 # or reads 0 (a row of 1e-162s would be stored with norm 1.65); neither row
@@ -181,10 +194,12 @@ class _Block:
         split = n_live - n_live % 4
         tail = live_pos[split:]
         main = pool[: np.searchsorted(pool, tail[0])] if len(tail) else pool
-        padded = max(4, -(-len(main) // 4) * 4)
-        matrix = np.zeros((padded + len(tail), self.rows.shape[1]))
-        matrix[: len(main)] = self.rows[main]
-        matrix[padded:] = self.rows[tail]
+        # Pad rows lead, so the kept rows are one suffix: the first n_pad live
+        # rows, all in the main region since n_live >= 4.
+        n_pad = max(4, -(-len(main) // 4) * 4) - len(main)
+        gathered = np.concatenate((live_pos[:n_pad], main, tail))
+        matrix = self.rows[gathered]
+        padded = n_pad + len(main)
         step = max(4, _CHUNK_ELEMENTS // self.rows.shape[1] // 4 * 4)
         last = (padded - 1) // step * step
         scores = np.empty(len(matrix))
@@ -192,10 +207,7 @@ class _Block:
             scores[start : start + step] = matrix[start : start + step] @ q_unit
         scores[last:] = matrix[last:] @ q_unit
         np.clip(scores, -1.0, 1.0, out=scores)
-        return (
-            np.concatenate((main, tail)),
-            np.concatenate((scores[: len(main)], scores[padded:])),
-        )
+        return gathered[n_pad:], scores[n_pad:]
 
 
 class Index:
@@ -395,12 +407,13 @@ def topk_each(
 def best_k(scores: np.ndarray, keys: np.ndarray, k: int) -> list[tuple[float, object]]:
     """The k (score, key) pairs of highest score, ties broken by ascending key.
 
-    Every entry scoring at least the k-th score joins the pool (np.partition;
-    tie-complete, so all entries tied at the boundary reach the sort), and
-    only that pool is sorted.
+    A pool of more than _PARTITION_FACTOR * k entries is first cut to every
+    entry scoring at least the k-th score (np.partition; tie-complete, so all
+    entries tied at the boundary reach the sort); a smaller one is sorted
+    whole, since the partition would cost more than it saves.
     """
     n = len(scores)
-    if k < n:
+    if n > _PARTITION_FACTOR * k:
         pool = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
         scores, keys = scores[pool], keys[pool]
     return [(-neg, key) for neg, key in sorted(zip((-scores).tolist(), keys.tolist()))[:k]]

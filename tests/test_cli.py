@@ -981,6 +981,65 @@ class TestBadInputExitsOne:
         )
         assert code == 0
 
+    def test_search_model_with_invalid_utf8_names_file_and_line(
+        self, workdir, tmp_path, capsys
+    ):
+        model_path, _ = fitted_model(capsys, workdir, tmp_path)
+        lines = model_path.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.lstrip().startswith(b'"p"'))
+        lines[at] = lines[at].replace(b'"p"', b'"p\xff"', 1)
+        model_path.write_bytes(b"".join(lines))
+        code, _, err = run(
+            capsys, "search", *search_inputs(workdir), "--model", str(model_path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        assert err == f"error: {model_path}:{at + 1}: invalid UTF-8: byte 0xff\n"
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_compare_report_with_invalid_utf8_names_file_and_line(self, tmp_path, capsys):
+        report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
+        control, test = tmp_path / "control.json", tmp_path / "test.json"
+        control.write_text(json.dumps(report, indent=2))
+        text = json.dumps(report, indent=2).encode()
+        test.write_bytes(text.replace(b'"nonrec_rate"', b'"nonrec\xfe_rate"'))
+        line = text[: text.index(b'"nonrec_rate"')].count(b"\n") + 1
+        code, _, err = run(capsys, "compare", str(control), str(test))
+        assert code == 1
+        assert err == f"error: {test}:{line}: invalid UTF-8: byte 0xfe\n"
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("ndcg_at", {"1": 0.5, "5": 3.5}, "ndcg_at['5'] 3.5 is outside [0, 1]"),
+            ("ndcg_at", {"1": -0.25}, "ndcg_at['1'] -0.25 is outside [0, 1]"),
+            ("nonrec_rate", -1, "nonrec_rate -1.0 is outside [0, 1]"),
+            ("nonrec_rate", 1.5, "nonrec_rate 1.5 is outside [0, 1]"),
+            (
+                "failure_breakdown",
+                {"Offensive": 1.25},
+                "failure_breakdown['Offensive'] 1.25 is outside [0, 1]",
+            ),
+            ("n_sessions", 0, "n_sessions 0 is below 1"),
+            ("n_sessions", -1, "n_sessions -1 is below 1"),
+        ],
+        ids=[
+            "ndcg-above-one", "ndcg-negative", "nonrec-negative", "nonrec-above-one",
+            "share-above-one", "zero-sessions", "negative-sessions",
+        ],
+    )
+    def test_compare_report_value_out_of_range_names_file(
+        self, tmp_path, capsys, field, value, message
+    ):
+        report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
+        control, test = tmp_path / "control.json", tmp_path / "test.json"
+        control.write_text(json.dumps(report))
+        test.write_text(json.dumps({**report, field: value}))
+        code, out, err = run(capsys, "compare", str(control), str(test))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {test}: {message}\n"
+
     def test_compare_truncated_report_names_file(self, tmp_path, capsys):
         report = {"ndcg_at": {"1": 0.5}, "nonrec_rate": 0.0, "failure_breakdown": {}, "n_sessions": 3}
         control, truncated = tmp_path / "control.json", tmp_path / "test.json"

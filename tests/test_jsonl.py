@@ -9,7 +9,7 @@ import pytest
 from ebrguard.corpus import FailureCategory, Intent, Query, RelevanceJudgment, SourceType
 from ebrguard.errors import MalformedRecord
 from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
-from ebrguard.jsonl import Record, json_number, read_lines
+from ebrguard.jsonl import Record, json_number, read_json, read_lines
 from ebrguard.pipeline import SearchResult
 from ebrguard.triggers import TriggerAction, TriggerRule
 from ebrguard.vector_index import CandidateSource
@@ -187,3 +187,15 @@ def test_read_lines_splits_on_every_newline_and_names_an_undecodable_line(tmp_pa
     path.write_bytes(b"a\r\nb\xe9\n")
     with pytest.raises(MalformedRecord, match=re.escape(f"{path}:2: invalid UTF-8: byte 0xe9")):
         read_lines(path, str)
+
+
+def test_read_json_names_an_undecodable_line_as_read_lines_does(tmp_path):
+    path = tmp_path / "doc.json"
+    # Lines end in "\r\n", "\r" and "\n"; the bad byte is on line 3 by each reader.
+    path.write_bytes(b'{\r\n"a":\r"\xe9"\n}\n')
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:3: invalid UTF-8: byte 0xe9")):
+        read_json(path, dict)
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:3: invalid UTF-8: byte 0xe9")):
+        read_lines(path, str)
+    path.write_bytes('{\r"a":\r"é"\n}\n'.encode())
+    assert read_json(path, dict) == {"a": "é"}

@@ -26,14 +26,24 @@ from ebrguard import (
     SegmentKey,
 )
 from ebrguard.corpus import Query
+from ebrguard.embedder import Side, embed_text
 from ebrguard.errors import InvalidParameter
-from ebrguard.integrity import IntegrityLabel, LabelReason, Severity
+from ebrguard.integrity import (
+    IntegrityLabel,
+    LabelReason,
+    Severity,
+    apply_demotion,
+    apply_index_removal,
+)
 from ebrguard.pipeline import (
     ResultPage,
     SearchResult,
     apply_threshold,
     merge_candidates,
 )
+from ebrguard.text_retrieval import search_text
+from ebrguard.thresholds import predict_threshold
+from ebrguard.vector_index import topk
 from tests.test_corpus import make_doc
 
 
@@ -422,3 +432,147 @@ class TestRetrieve:
         row["transformed_score"] = 1
         got = SearchResult.from_dict(row).transformed_score
         assert type(got) is float and got == 1.0
+
+
+def reference_page(query, index, text_index, model, rules, store, config):
+    """The page retrieve must serve, built step by step over SearchResults as
+    the benchmark's correctness gate builds it: topk per enabled source type,
+    the scalar sigmoid_transform, apply_threshold, search_text,
+    merge_candidates, apply_demotion, then the cut to k."""
+    enabled = [
+        source_type
+        for source_type in sorted(index.source_types_present(), key=lambda s: s.value)
+        if rules.evaluate(query.intent, source_type, query.country) is TriggerAction.ENABLE
+    ]
+    ebr_rows = []
+    if enabled:
+        query_vec = embed_text(query.text, Side.QUERY, index.dim)
+        for source_type in enabled:
+            segment = SegmentKey(query.country, query.language, query.intent, source_type)
+            threshold = predict_threshold(model, segment) if model is not None else -math.inf
+            rows = [
+                SearchResult(
+                    c.doc_id, sigmoid_transform(c.raw_score, config.sigmoid), CandidateSource.EBR
+                )
+                for c in topk(index, query_vec, config.k, source_type)
+            ]
+            ebr_rows.extend(apply_threshold(rows, threshold))
+    text_rows = [
+        SearchResult(c.doc_id, c.raw_score, CandidateSource.TEXT)
+        for c in search_text(text_index, query, config.k)
+    ]
+    merged = merge_candidates(ebr_rows, text_rows)
+    return ResultPage(query.query_id, bool(enabled), tuple(apply_demotion(merged, store)[: config.k]))
+
+
+WORLD_VOCAB = ("hiking", "club", "denver", "photo", "trail", "maria")
+
+
+@st.composite
+def retrieve_worlds(draw):
+    """A small corpus over both source types and one query, with everything
+    retrieve branches on drawn: Removable and Demotable labels (some docs
+    left in the index), trigger rules that disable either or both source
+    types, an optional threshold model, and k from 1 past the candidate count.
+
+    Titles come from a six-word vocabulary, so most docs are reached by both
+    routes. A planted doc, the query's first word plus three words outside
+    it, has text score 1 / sqrt(4) = 0.5 exactly; with b = -a * s for one
+    doc's raw score s, that doc's calibrated score is exactly 0.5 as well,
+    so an EBR row and a text row tie exactly, from one doc or from two.
+    """
+    query_words = draw(st.lists(st.sampled_from(WORLD_VOCAB), min_size=1, max_size=3))
+    titles = draw(
+        st.lists(
+            st.lists(st.sampled_from(WORLD_VOCAB), min_size=1, max_size=4).map(" ".join),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):
+        titles.append(query_words[0] + " zulu zulu zulu")
+    labels = draw(st.permutations(range(len(titles))))
+    docs = [
+        make_doc(
+            f"d{label}",
+            title=title,
+            description="",
+            source_type=draw(st.sampled_from(SourceType)),
+        )
+        for label, title in zip(labels, titles)
+    ]
+    query = make_query(" ".join(query_words))
+    index, text_index = build_fixture(docs)
+    store = LabelStore()
+    for doc in docs:
+        severity = draw(st.sampled_from([None, Severity.REMOVABLE, Severity.DEMOTABLE]))
+        if severity is not None:
+            store.add(IntegrityLabel(doc.doc_id, severity, LabelReason.OTHER))
+    if draw(st.booleans()):
+        index, _ = apply_index_removal(index, store)
+    a = draw(st.sampled_from([1.0, 6.0]))
+    tied = draw(st.sampled_from([None, *docs]))
+    if tied is None or tied.doc_id not in index:
+        b = draw(st.sampled_from([0.0, -3.0]))
+    else:
+        query_vec = embed_text(query.text, Side.QUERY, index.dim)
+        (raw,) = [
+            c.raw_score
+            for c in topk(index, query_vec, len(docs), tied.source_type)
+            if c.doc_id == tied.doc_id
+        ]
+        b = -(a * raw)
+    disabled = draw(st.sets(st.sampled_from(SourceType)))
+    rules = RuleSet(TriggerRule(Intent.GROUP_TOPIC, t, TriggerAction.DISABLE) for t in disabled)
+    model = None
+    if draw(st.booleans()):
+        cut = st.sampled_from([0.3, 0.5, 0.55, 0.7])
+        model = fit(
+            {SegmentKey("US", "en", Intent.GROUP_TOPIC, t): draw(cut) for t in SourceType}
+        )
+    config = RetrievalConfig(k=draw(st.integers(1, 2 * len(docs) + 2)), sigmoid=SigmoidParams(a, b))
+    return query, index, text_index, model, rules, store, config
+
+
+@given(retrieve_worlds())
+@settings(max_examples=300, deadline=None)
+def test_retrieve_serves_the_reference_page(world):
+    """retrieve's tuple path serves the page the SearchResult reference
+    builds: the same rows, routes, demotion flags and score bits."""
+    page = retrieve(*world)
+    want = reference_page(*world)
+    assert page == want
+    assert [r.transformed_score.hex() for r in page.results] == [
+        r.transformed_score.hex() for r in want.results
+    ]
+
+
+def test_retrieve_builds_a_search_result_only_per_page_row(monkeypatch):
+    """retrieve keeps rows as tuples until the cut, so a request builds at
+    most k SearchResults however many candidates both routes return."""
+    import ebrguard.pipeline as pipeline
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0] if args else kwargs["doc_id"])
+        return SearchResult(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "SearchResult", counting)
+    docs = [
+        make_doc(f"d{i}", title=f"hiking club variant {i}", source_type=SourceType.UN)
+        for i in range(6)
+    ] + [
+        make_doc(f"c{i}", title=f"denver hiking club {i}", source_type=SourceType.CN)
+        for i in range(6)
+    ]
+    index, text_index = build_fixture(docs)
+    store = LabelStore([IntegrityLabel("d1", Severity.DEMOTABLE, LabelReason.UNTRUSTWORTHY)])
+    for k in (1, 3, 5):
+        built.clear()
+        page = retrieve(
+            make_query("hiking club"), index, text_index, None, NO_RULES, store,
+            RetrievalConfig(k=k),
+        )
+        assert len(page.results) == k
+        assert len(built) <= k

@@ -583,7 +583,7 @@ class TestScreenOracle:
         """Blocks whose single tail row could end up in a call of its own.
 
         At n = 5 the last row is the best by far more than 2B, so at k=1 the
-        pool is that tail row alone: the rescore's zero padding to at least
+        pool is that tail row alone: the rescore's padding to at least
         4 rows keeps it in a 5-row call. At one and two rescore chunks plus
         one row, with k >= n - 1, the pooled rows fill whole chunks: the
         tail must ride in the last of them, not follow in a 1-row call.
@@ -605,6 +605,82 @@ class TestScreenOracle:
             for k in (1, n - 1, n):
                 got = [(c.raw_score, c.doc_id) for c in topk(index, q, k, SourceType.CN)]
                 assert hex_pairs(got) == hex_pairs(best_k(scores, ids, k))
+
+
+def live_block(rng, n_live, n_dead, d=64):
+    """A one-type index's _Block with n_live live rows and n_dead removed at
+    random positions, and its float64 unit rows."""
+    n = n_live + n_dead
+    docs = [make_doc(f"d{i}", source_type=SourceType.CN) for i in range(n)]
+    index = build_index(docs, {doc.doc_id: rng.normal(size=d) for doc in docs})
+    dead = rng.choice(n, size=n_dead, replace=False)
+    index = index.remove_many(docs[i].doc_id for i in dead)
+    block = index._blocks[SourceType.CN]
+    assert len(block.live_pos) == n_live
+    return block
+
+
+def assert_rescore_equals_full_scan(block, rng, main_pooled, tail_pooled):
+    """rescore of main_pooled main-region rows and tail_pooled tail rows, each
+    drawn at random: the pooled main rows then every tail row, in order, with
+    the bits of one gemv over all live rows."""
+    live_pos = block.live_pos
+    split = len(live_pos) - len(live_pos) % 4
+    main = np.sort(rng.choice(live_pos[:split], size=main_pooled, replace=False))
+    tail = live_pos[split:]
+    pool = np.sort(np.concatenate((main, rng.choice(tail, size=tail_pooled, replace=False))))
+    q_unit = random_unit(rng, block.rows.shape[1])
+    full = dict(zip(live_pos.tolist(), np.clip(block.rows[live_pos] @ q_unit, -1.0, 1.0).tolist()))
+    positions, scores = block.rescore(pool, q_unit)
+    assert positions.tolist() == [*main.tolist(), *tail.tolist()]
+    assert [s.hex() for s in scores.tolist()] == [full[p].hex() for p in positions.tolist()]
+
+
+class TestRescoreLayout:
+    """_Block.rescore gives every pooled row and tail row the bits of a
+    single-threaded gemv over the block's live rows, whatever the pool size
+    mod 4 (0-4 pad rows) and the tail length, in one gemv or in chunks."""
+
+    RESCORE_STEP = _CHUNK_ELEMENTS // 64 // 4 * 4
+
+    @pytest.mark.parametrize("n_tail", range(4))
+    @pytest.mark.parametrize("pool_mod", range(4))
+    def test_pool_and_tail_bits_equal_a_full_scan(self, pool_mod, n_tail):
+        rng = np.random.default_rng(4 * pool_mod + n_tail)
+        block = live_block(rng, n_live=40 + n_tail, n_dead=9)
+        for main_pooled in (pool_mod, pool_mod + 4, pool_mod + 12, 40 - 4 + pool_mod):
+            for tail_pooled in range(n_tail + 1):
+                assert_rescore_equals_full_scan(block, rng, main_pooled, tail_pooled)
+
+    @pytest.mark.parametrize("n_live", [1, 2, 3])
+    def test_blocks_of_fewer_than_4_live_rows(self, n_live):
+        rng = np.random.default_rng(n_live)
+        block = live_block(rng, n_live=n_live, n_dead=2)
+        for tail_pooled in range(n_live + 1):
+            assert_rescore_equals_full_scan(block, rng, 0, tail_pooled)
+
+    @pytest.mark.parametrize("n_tail", range(4))
+    def test_a_gather_past_one_chunk(self, n_tail):
+        rng = np.random.default_rng(100 + n_tail)
+        main_rows = 2 * self.RESCORE_STEP + 40
+        block = live_block(rng, n_live=main_rows + n_tail, n_dead=30)
+        for main_pooled in (self.RESCORE_STEP + 1, 2 * self.RESCORE_STEP - 2, main_rows - 1):
+            assert_rescore_equals_full_scan(block, rng, main_pooled, n_tail)
+
+
+class TestBestK:
+    """best_k sorts small pools whole and partitions large ones; either way
+    the result is the sorted (-score, key) prefix of length k."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 40, 41, 400])
+    @pytest.mark.parametrize("k", [1, 3, 10, 50])
+    def test_equals_the_sorted_prefix(self, n, k):
+        rng = np.random.default_rng(n * 100 + k)
+        for levels in (3, 1_000_000):  # many ties, then almost none
+            scores = rng.integers(0, levels, size=n) / levels
+            keys = rng.permutation(n)
+            want = [(-neg, key) for neg, key in sorted(zip((-scores).tolist(), keys.tolist()))[:k]]
+            assert best_k(scores, keys, k) == want
 
 
 # Every order of every subset of SourceType, and one request naming a type twice.
